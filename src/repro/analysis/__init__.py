@@ -8,10 +8,10 @@
 * :mod:`repro.analysis.tables`    — structured rows for each table;
 * :mod:`repro.analysis.reporting` — plain-text rendering used by the examples
   and the benchmark harness (no plotting dependencies are available offline);
-* :mod:`repro.analysis.perfhistory` — the perf-history harness behind every
-  ``benchmarks/bench_*.py`` script: benchmark/gate registry, environment
-  fingerprints, the append-only ``BENCH_history.jsonl`` store, and
-  baseline-window degradation gates (see ``docs/benchmarks.md``).
+* :mod:`repro.analysis.perfhistory` — the perf-history harness: the
+  registry that defines every benchmark and its gates, ``perf run``,
+  environment fingerprints, the append-only ``BENCH_history.jsonl`` store,
+  and baseline-window degradation gates (see ``docs/benchmarks.md``).
 """
 
 from repro.analysis.runner import ExperimentRunner

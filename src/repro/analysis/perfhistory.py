@@ -1,11 +1,10 @@
-"""Continuous performance history: the shared harness behind ``benchmarks/``.
+"""Continuous performance history: where every benchmark is defined and run.
 
-Every ``benchmarks/bench_*.py`` script used to hand-roll the same four jobs:
-argparse scaffolding, a ``BENCH_*.json`` snapshot that the next run silently
-overwrote, ad-hoc ``--check-*`` threshold flags, and per-script environment
-hacks ("auto-skip the speedup gate at 1 CPU").  This module owns all of it,
-modeled on perun-style "performance version systems": per-commit profiles
-plus degradation detection against history instead of fixed thresholds.
+Each benchmark is one registry entry here: its measure callable, its
+``BENCH_*.json`` snapshot and its regression gates.  This module runs the
+benchmarks and owns the record schema, the history and the gates, modeled
+on perun-style "performance version systems": per-commit profiles plus
+degradation detection against history instead of fixed thresholds.
 
 The pieces
 ----------
@@ -27,17 +26,17 @@ The pieces
   floor as an absolute minimum, and *skip* (rather than silently pass)
   when the environment cannot express the measurement — the one documented
   skip policy, see ``docs/benchmarks.md``.
-* :data:`BENCHMARKS` — the registry of all eight benchmarks and their
-  gates; ``repro.cli perf {report,check,list}`` renders trends and
-  evaluates gates from it.
-
-Scripts call :func:`add_harness_arguments` and :func:`finish_run`; CI calls
-``python -m repro.cli perf check``.
+* :data:`BENCHMARKS` — the registry of all eight benchmarks: each
+  :class:`BenchmarkSpec` names its measure callable, its snapshot and its
+  gates.  ``repro.cli perf run`` measures and records them
+  (:func:`run_benchmarks`); ``repro.cli perf {report,check,list}`` renders
+  trends and evaluates gates from the history.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import platform
@@ -47,9 +46,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 MetricValue = Union[float, int, bool]
+
+#: what a benchmark's measure callable returns: ``(metrics, units, payload)``.
+Measurement = Tuple[Mapping[str, MetricValue], Mapping[str, str],
+                    Mapping[str, object]]
 
 #: current on-disk schema version of history entries and snapshot stamps.
 SCHEMA_VERSION = 1
@@ -371,19 +374,27 @@ def evaluate_gates(spec: "BenchmarkSpec", record: BenchRecord,
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Registry entry for one benchmark script.
+    """Registry entry for one benchmark.
 
     ``name`` is the registry key, ``snapshot`` the legacy latest-run JSON
-    file, ``script`` the generating script under ``benchmarks/``, ``title``
-    a human-readable one-liner and ``gates`` the regression gates evaluated
-    by scripts and ``repro.cli perf check``.
+    file, ``measure`` a ``"module:function"`` reference to the callable that
+    runs the benchmark, ``title`` a human-readable one-liner and ``gates``
+    the regression gates evaluated by ``repro.cli perf run`` and
+    ``repro.cli perf check``.  The callable takes no arguments and returns a
+    :data:`Measurement`; it is imported only by :meth:`resolve`, so the
+    registry never imports the stacks it measures.
     """
 
     name: str
     snapshot: str
-    script: str
+    measure: str
     title: str
     gates: Tuple[GateSpec, ...] = ()
+
+    def resolve(self) -> Callable[[], Measurement]:
+        """Import the module named by ``measure`` and return its callable."""
+        module, _, function = self.measure.partition(":")
+        return getattr(importlib.import_module(module), function)
 
 
 #: all eight benchmarks and every CI gate decision, in one place.  Floors
@@ -393,7 +404,7 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
     spec.name: spec for spec in (
         BenchmarkSpec(
             "injection", "BENCH_injection.json",
-            "bench_injection_throughput.py",
+            "repro.engine.bench:injection_benchmark",
             "packed injection engine vs boolean reference",
             gates=(GateSpec("packed_vs_reference_identity", "bit_identical",
                             kind="identity"),
@@ -401,22 +412,25 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                             floor=3.0))),
         BenchmarkSpec(
             "inference", "BENCH_inference.json",
-            "bench_inference_throughput.py",
+            "repro.engine.bench:inference_benchmark",
             "static-store vs per-read characterization sweep",
             gates=(GateSpec("sweep_speedup", "sweep_speedup", floor=3.0),)),
         BenchmarkSpec(
-            "serving", "BENCH_serving.json", "bench_serving.py",
+            "serving", "BENCH_serving.json",
+            "repro.serve.bench:serving_benchmark",
             "micro-batched gateway vs batch-1 serial",
             gates=(GateSpec("microbatch_bit_identity", "bit_identical",
                             kind="identity"),
                    GateSpec("microbatch_speedup", "microbatch_speedup",
                             floor=2.0))),
         BenchmarkSpec(
-            "quantized", "BENCH_quantized.json", "bench_quantized.py",
+            "quantized", "BENCH_quantized.json",
+            "repro.engine.bench:quantized_benchmark",
             "fused integer-GEMM plan vs FP32 static store",
             gates=(GateSpec("quantized_speedup", "speedup", floor=2.0),)),
         BenchmarkSpec(
-            "parallel", "BENCH_parallel.json", "bench_parallel.py",
+            "parallel", "BENCH_parallel.json",
+            "repro.parallel.bench:parallel_benchmark",
             "shared-memory executor vs serial sweeps",
             gates=(GateSpec("characterization_sweep_identity",
                             "characterization_sweep_identical",
@@ -432,7 +446,8 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                             "characterization_sweep_speedup",
                             floor=2.0, min_cpus=4))),
         BenchmarkSpec(
-            "server", "BENCH_server.json", "bench_server.py",
+            "server", "BENCH_server.json",
+            "repro.serve.bench:server_benchmark",
             "HTTP front end under generated load",
             gates=(GateSpec("steady_bit_identity", "bit_identical",
                             kind="identity"),
@@ -440,14 +455,16 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                    GateSpec("burst_admitted_correct", "burst_admitted_correct",
                             kind="identity"))),
         BenchmarkSpec(
-            "router", "BENCH_router.json", "bench_router.py",
+            "router", "BENCH_router.json",
+            "repro.serve.bench:router_benchmark",
             "multi-replica router tier scale-out",
             gates=(GateSpec("router_bit_identity", "bit_identical",
                             kind="identity"),
                    GateSpec("scaleout_speedup", "scaleout_speedup",
                             floor=2.0, min_cpus=4))),
         BenchmarkSpec(
-            "ecc", "BENCH_ecc.json", "bench_ecc.py",
+            "ecc", "BENCH_ecc.json",
+            "repro.engine.bench:ecc_benchmark",
             "ECC-corrected weight store vs raw burst corruption",
             gates=(GateSpec("corrected_store_identity", "store_bit_identical",
                             kind="identity"),
@@ -472,18 +489,6 @@ def write_snapshot(path: Union[str, Path], payload: Mapping[str, object],
     Path(path).write_text(json.dumps(stamped, indent=2) + "\n")
 
 
-def add_harness_arguments(parser, spec: BenchmarkSpec) -> None:
-    """Install the shared ``--output`` / ``--history`` options on ``parser``.
-
-    ``spec`` provides the default snapshot filename; ``--history`` defaults
-    to :data:`DEFAULT_HISTORY`.
-    """
-    parser.add_argument("--output", default=spec.snapshot,
-                        help="where to write the latest-run JSON snapshot")
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append-only perf history file (JSONL)")
-
-
 def format_gate_results(benchmark: str,
                         results: Sequence[GateResult]) -> str:
     """Render gate ``results`` for ``benchmark`` as an aligned text table and return it."""
@@ -504,47 +509,75 @@ def format_gate_results(benchmark: str,
         title=f"perf gates: {benchmark}")
 
 
-def finish_run(spec: BenchmarkSpec, args, metrics: Mapping[str, MetricValue],
+def finish_run(spec: BenchmarkSpec, metrics: Mapping[str, MetricValue],
                payload: Mapping[str, object],
-               units: Optional[Mapping[str, str]] = None,
-               enforce: str = "hard") -> int:
+               units: Optional[Mapping[str, str]] = None, *,
+               history: Union[str, Path] = DEFAULT_HISTORY) -> int:
     """Record a benchmark run and evaluate its gates; returns the exit code.
 
-    The one epilogue every ``bench_*.py`` script shares: captures the
-    environment fingerprint, builds the :class:`BenchRecord` from
-    ``metrics``/``units``, writes the ``args.output`` snapshot (legacy
-    ``payload`` + stamp), appends to the ``args.history`` store, evaluates
-    ``spec``'s gates against the pre-append baseline and prints the gate
-    table.  ``enforce`` selects which failures are fatal: ``"hard"`` (the
-    script default — bit-identity/positive gates only; speedup gates are
-    evaluated and printed, but CI enforces them through one shared
-    ``repro.cli perf check`` step) or ``"all"``.
+    Captures the environment fingerprint, builds the :class:`BenchRecord`
+    from ``metrics``/``units``, writes ``spec.snapshot`` in the current
+    directory (legacy ``payload`` + stamp), appends to the ``history``
+    store, evaluates ``spec``'s gates against the pre-append baseline and
+    prints the metric and gate tables.  Only hard
+    (identity/positive) gate failures are fatal; a failing speedup gate
+    prints a WARN and is enforced by ``repro.cli perf check``.
     """
+    from repro.analysis.reporting import format_table
+
     record = BenchRecord.create(spec.name, metrics, units)
-    store = HistoryStore(args.history)
+    store = HistoryStore(history)
     prior = store.load()
-    write_snapshot(args.output, payload, record)
+    write_snapshot(spec.snapshot, payload, record)
     store.append(record)
     results = evaluate_gates(spec, record, prior)
 
+    print(format_table(["metric", "unit", "value"],
+                       [(metric, record.units.get(metric, ""), value)
+                        for metric, value in record.metrics.items()],
+                       title=f"perf metrics: {spec.name}"))
     print()
     print(format_gate_results(spec.name, results))
-    print(f"\nwrote {args.output}; appended run #"
+    print(f"\nwrote {spec.snapshot}; appended run #"
           f"{len([r for r in prior if r.benchmark == spec.name]) + 1} "
           f"to {store.path} (commit {record.env.git_commit}, "
           f"{record.env.cpu_count} CPU(s))")
 
-    enforced = [r for r in results
-                if r.failed and (enforce == "all" or r.gate.hard)]
-    advisory = [r for r in results
-                if r.failed and not (enforce == "all" or r.gate.hard)]
-    for result in enforced:
-        print(f"FAIL: {spec.name}/{result.gate.name}: {result.reason}",
-              file=sys.stderr)
-    for result in advisory:
-        print(f"WARN: {spec.name}/{result.gate.name}: {result.reason} "
-              "(enforced by `repro.cli perf check`)", file=sys.stderr)
-    return 1 if enforced else 0
+    for result in results:
+        if result.failed and result.gate.hard:
+            print(f"FAIL: {spec.name}/{result.gate.name}: {result.reason}",
+                  file=sys.stderr)
+        elif result.failed:
+            print(f"WARN: {spec.name}/{result.gate.name}: {result.reason} "
+                  "(enforced by `repro.cli perf check`)", file=sys.stderr)
+    return 1 if any(r.failed and r.gate.hard for r in results) else 0
+
+
+def run_benchmarks(history: Union[str, Path] = DEFAULT_HISTORY,
+                   benchmarks: Optional[Sequence[str]] = None) -> int:
+    """Measure and record the selected benchmarks; returns the exit code.
+
+    ``benchmarks`` names registry entries (default: all of them, in
+    registry order).  Each one's measure callable runs, then
+    :func:`finish_run` records it into ``history``.  Every selected
+    benchmark runs even after a failure; the exit code is 1 when a name is
+    unknown or any hard gate failed, else 0.
+    """
+    names = list(BENCHMARKS) if benchmarks is None else list(benchmarks)
+    unknown = [name for name in names if name not in BENCHMARKS]
+    if unknown:
+        print(f"FAIL: unknown benchmark(s) {', '.join(map(repr, unknown))} "
+              f"(known: {', '.join(sorted(BENCHMARKS))})", file=sys.stderr)
+        return 1
+    exit_code = 0
+    for name in names:
+        spec = BENCHMARKS[name]
+        print(f"== {name}: {spec.title}", flush=True)
+        metrics, units, payload = spec.resolve()()
+        exit_code |= finish_run(spec, metrics, payload, units,
+                                history=history)
+        print()
+    return exit_code
 
 
 def check_benchmarks(history: Union[str, Path] = DEFAULT_HISTORY,

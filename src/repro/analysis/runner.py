@@ -364,7 +364,6 @@ class ExperimentRunner:
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        self.session.close()
 
     def __enter__(self) -> "ExperimentRunner":
         return self

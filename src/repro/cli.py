@@ -16,13 +16,10 @@ boost              run the full EDEN pipeline on one model (Sec. 3)
 evaluate-cpu       DRAM energy savings / speedup on the CPU platform (Figs. 13-14)
 evaluate-accel     DRAM energy savings on Eyeriss / TPU (Sec. 7.2)
 memsys             cycle-level memory-controller run at nominal vs reduced tRCD/VDD
-bench              inference-engine throughput: static-store vs per-read semantics
-parallel-bench     shared-memory executor: serial vs N-worker sweeps, bit-identity
-serve-bench        serving gateway: micro-batched vs batch-1 serial, registry, telemetry
 serve              HTTP/JSON inference server with admission control (Ctrl-C drains)
 loadgen            deterministic traffic scenarios against a serve URL (or self-hosted)
 ecc-sweep          raw vs ECC-corrected accuracy over a BER grid, with decode counts
-perf               performance history: trend report, CI gate check, run listing
+perf               run and record the benchmarks; trend report, gate check, run listing
 """
 
 from __future__ import annotations
@@ -225,120 +222,6 @@ def cmd_ecc_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import (
-        measure_characterization_sweep,
-        measure_inference_throughput,
-        measure_quantized_throughput,
-    )
-
-    rows = measure_inference_throughput(
-        args.model, ber=args.ber, batch_sizes=tuple(args.batch_sizes),
-        seed=args.seed,
-    )
-    print(format_table(
-        ["batch", "nominal img/s", "static-store img/s", "per-read img/s",
-         "static/per-read"],
-        [(r["batch_size"], f"{r['nominal_images_per_sec']:.0f}",
-          f"{r['static_store_images_per_sec']:.0f}",
-          f"{r['per_read_images_per_sec']:.0f}",
-          f"{r['semantics_speedup']:.2f}x") for r in rows],
-        title=(f"{args.model}: inference throughput at BER {args.ber:g} "
-               "(weights in approximate DRAM)"),
-    ))
-    if args.dtype != "fp32":
-        record = measure_quantized_throughput(
-            args.model, ber=args.ber, dtype=args.dtype, seed=args.seed)
-        print()
-        print(format_table(
-            ["execution path", "rows/s"],
-            [("fp32 static store", f"{record['fp32_rows_per_sec']:.0f}"),
-             (f"{args.dtype} fused integer plan",
-              f"{record['quantized_rows_per_sec']:.0f}"),
-             ("speedup", f"{record['speedup']:.2f}x")],
-            title=(f"{args.model}: {record['pad_to']}-row serving dispatches, "
-                   f"{args.dtype} store at BER {args.ber:g}"),
-        ))
-    if args.sweep:
-        sweep = measure_characterization_sweep(
-            args.model, batch_size=args.sweep_batch_size, seed=args.seed,
-        )
-        print()
-        print(format_table(
-            ["semantics", "sweep seconds"],
-            [("per-read (legacy)", f"{sweep['per_read_seconds']:.2f}"),
-             ("static-store", f"{sweep['static_store_seconds']:.2f}"),
-             ("speedup", f"{sweep['speedup']:.1f}x")],
-            title=f"weight-store BER sweep over {sweep['bers']}",
-        ))
-    return 0
-
-
-def cmd_parallel_bench(args: argparse.Namespace) -> int:
-    from repro.parallel.bench import measure_parallel
-
-    record = measure_parallel(args.model, processes=args.processes,
-                              epochs=args.epochs, seed=args.seed)
-    rows = [
-        ("characterization sweep",
-         f"{record['characterization_sweep_serial_seconds']:.2f}",
-         f"{record['characterization_sweep_parallel_seconds']:.2f}",
-         record["characterization_sweep_identical"]),
-        ("device sweep",
-         f"{record['device_sweep_serial_seconds']:.2f}",
-         f"{record['device_sweep_parallel_seconds']:.2f}",
-         record["device_sweep_identical"]),
-        ("coarse characterization",
-         f"{record['coarse_characterization_serial_seconds']:.2f}",
-         f"{record['coarse_characterization_parallel_seconds']:.2f}",
-         record["coarse_characterization_identical"]),
-    ]
-    print(format_table(
-        ["experiment", "serial (s)", f"{record['processes']} workers (s)",
-         "bit-identical"],
-        rows,
-        title=(f"{args.model}: shared-memory executor vs serial "
-               f"({record['cpu_count']} CPUs visible)")))
-    print(f"\ncharacterization sweep speedup: "
-          f"{record['characterization_sweep_speedup']:.2f}x")
-    print(f"multi-process serving bit-identical: {record['serving_identical']}")
-    identical = (record["characterization_sweep_identical"]
-                 and record["device_sweep_identical"]
-                 and record["coarse_characterization_identical"]
-                 and record["serving_identical"])
-    return 0 if identical else 1
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.reporting import format_serving_report
-    from repro.serve.bench import measure_serving
-
-    record = measure_serving(args.model, ber=args.ber,
-                             n_requests=args.requests,
-                             max_batch=args.max_batch,
-                             client_threads=args.client_threads,
-                             seed=args.seed, dtype=args.dtype)
-    print(format_table(
-        ["serving mode", "seconds", "req/s"],
-        [("batch-1 serial", f"{record['serial_batch1_seconds']:.3f}",
-          f"{record['serial_rps']:.0f}"),
-         (f"micro-batched (≤{record['max_batch']})",
-          f"{record['microbatched_seconds']:.3f}",
-          f"{record['microbatched_rps']:.0f}"),
-         (f"async ({record['client_threads']} client threads)",
-          f"{record['async_seconds']:.3f}", f"{record['async_rps']:.0f}")],
-        title=(f"{args.model}: {record['n_requests']} single-sample requests, "
-               f"{args.dtype} weight store at BER {args.ber:g}")))
-    print(f"\nmicro-batch speedup over batch-1 serial: "
-          f"{record['microbatch_speedup']:.2f}x")
-    print(f"batched == serial (bit-identical)      : {record['bit_identical']}")
-    print(f"registry compile: cold {record['cold_register_seconds'] * 1e3:.1f} ms, "
-          f"warm (cache hit) {record['warm_register_seconds'] * 1e3:.2f} ms")
-    print()
-    print(format_serving_report(record["telemetry"]))
-    return 0 if record["bit_identical"] else 1
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -517,6 +400,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     from repro.analysis import perfhistory
 
+    if args.perf_command == "run":
+        return perfhistory.run_benchmarks(args.history, args.benchmark)
     if args.perf_command == "check":
         results, code = perfhistory.check_benchmarks(args.history,
                                                      args.benchmark)
@@ -679,54 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="registered ECC codec name")
     ecc.set_defaults(handler=cmd_ecc_sweep)
 
-    bench = subparsers.add_parser(
-        "bench", help="inference-engine throughput (static-store vs per-read)")
-    bench.add_argument("--model", default="lenet", help="model zoo entry to time")
-    bench.add_argument("--ber", type=float, default=1e-3,
-                       help="weight-store bit error rate")
-    bench.add_argument("--batch-sizes", nargs="+", type=int, default=[1, 16, 64])
-    bench.add_argument("--sweep", action="store_true",
-                       help="also time a characterization-style BER sweep")
-    bench.add_argument("--sweep-batch-size", type=int, default=4)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--dtype", default="fp32",
-                       choices=("fp32", "int8", "int4"),
-                       help="also time the fused integer plan at this "
-                            "stored precision (fp32 = skip)")
-    bench.set_defaults(handler=cmd_bench)
-
-    parallel_bench = subparsers.add_parser(
-        "parallel-bench",
-        help="shared-memory parallel executor benchmark (serial vs N workers)")
-    parallel_bench.add_argument("--model", default="lenet",
-                                help="model zoo entry to sweep")
-    parallel_bench.add_argument("--processes", type=int, default=4,
-                                help="executor worker count")
-    parallel_bench.add_argument("--epochs", type=int, default=2,
-                                help="training epochs before characterizing")
-    parallel_bench.add_argument("--seed", type=int, default=0)
-    parallel_bench.set_defaults(handler=cmd_parallel_bench)
-
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="serving-gateway benchmark (micro-batched vs batch-1 serial)")
-    serve_bench.add_argument("--model", default="lenet",
-                             help="model zoo entry to serve")
-    serve_bench.add_argument("--ber", type=float, default=1e-3,
-                             help="weight-store bit error rate")
-    serve_bench.add_argument("--requests", type=int, default=256,
-                             help="number of single-sample requests")
-    serve_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batcher coalescing bound")
-    serve_bench.add_argument("--client-threads", type=int, default=4,
-                             help="concurrent clients for the async measurement")
-    serve_bench.add_argument("--dtype", default="fp32",
-                             choices=("fp32", "int8", "int4"),
-                             help="stored precision / execution path of the "
-                                  "endpoints under test")
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.set_defaults(handler=cmd_serve_bench)
-
     serve = subparsers.add_parser(
         "serve",
         help="HTTP/JSON inference server with admission control (Ctrl-C drains)")
@@ -819,17 +656,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = subparsers.add_parser(
         "perf",
-        help="performance history: trend report, CI gate check, run listing")
+        help="run and record the benchmarks; trend report, gate check, "
+             "run listing")
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     def _perf_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--history", default="BENCH_history.jsonl",
                          help="append-only perf history file (JSONL)")
         sub.add_argument("--benchmark", nargs="*", default=None,
-                         help="restrict to these benchmarks (default: all "
-                              "with history entries)")
+                         help="restrict to these benchmarks (default: all; "
+                              "report/check/list: all with history entries)")
         sub.set_defaults(handler=cmd_perf)
 
+    perf_run = perf_sub.add_parser(
+        "run", help="measure the benchmarks: write each BENCH_<name>.json, "
+                    "append to the history, print the gates (exits non-zero "
+                    "on a failed hard gate)")
+    _perf_common(perf_run)
     perf_report = perf_sub.add_parser(
         "report", help="metric trends across the benchmark history")
     _perf_common(perf_report)

@@ -2,8 +2,8 @@
 
 See :mod:`repro.engine.session` for the two read-semantics modes
 (paper-faithful static-store vs legacy per-read) and
-:mod:`repro.engine.bench` for the throughput measurement helpers behind the
-``bench`` CLI subcommand and ``benchmarks/bench_inference_throughput.py``.
+:mod:`repro.engine.bench` for the engine-layer benchmarks that
+``repro.cli perf run`` measures.
 """
 
 from repro.engine.quantized import (

@@ -1,25 +1,28 @@
-"""Inference-throughput measurement for the engine layer.
+"""Engine-layer measurements behind the perf-history registry.
 
-Shared by the ``bench`` CLI subcommand and
-``benchmarks/bench_inference_throughput.py`` (which records the numbers to
-``BENCH_inference.json`` and gates CI on the static-store speedup).
+Four of the registered benchmarks (:data:`repro.analysis.perfhistory.BENCHMARKS`)
+measure this layer; ``repro.cli perf run`` calls their ``*_benchmark``
+callables, each returning ``(metrics, units, payload)``:
 
-Two measurements:
-
-* :func:`measure_inference_throughput` — images/second of the engine at the
-  nominal operating point (no injection) and at an approximate operating
-  point under both read semantics, per batch size.  Static-store pays the
-  weight corruption once per operating point, so its advantage grows as the
-  batch size shrinks — the latency-oriented serving regime where the legacy
-  path re-corrupted every weight tensor for every small batch.
-* :func:`measure_characterization_sweep` — wall clock of a coarse
-  characterization-style BER sweep of the *weight store* (weights in
-  approximate DRAM, IFMs in a reliable partition — the paper's static DNN
-  storage model) under both semantics.  This is the sweep shape that
-  dominated every experiment before the engine existed.
+* :func:`injection_benchmark` — packed injection engine vs the boolean
+  reference (:func:`measure_injection`), which must agree bit for bit.
+* :func:`inference_benchmark` — :func:`measure_characterization_sweep`, the
+  wall clock of a coarse characterization-style BER sweep of the *weight
+  store* (weights in approximate DRAM, IFMs in a reliable partition — the
+  paper's static DNN storage model) under both read semantics, plus
+  :func:`measure_inference_throughput`, images/second at the nominal and an
+  approximate operating point per batch size.  Static-store pays the weight
+  corruption once per operating point, so its advantage grows as the batch
+  size shrinks.
+* :func:`quantized_benchmark` — :func:`measure_quantized_throughput`, the
+  fused integer-GEMM plan vs the FP32 static store.
+* :func:`ecc_benchmark` — :func:`measure_ecc`, corrected-store bit identity
+  and a raw vs corrected BER sweep with the codec in the loop.
 
 Throughput numbers use untrained networks: accuracy is irrelevant to timing,
 and skipping training keeps the benchmark a pure measurement of the engine.
+Only the ECC benchmark trains, because its raw vs corrected accuracy split
+must carry signal.
 """
 
 from __future__ import annotations
@@ -27,8 +30,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Sequence
 
-from repro.dram.error_models import make_error_model
-from repro.dram.injection import BitErrorInjector
+import numpy as np
+
+from repro.dram.error_models import DramLayout, make_error_model
+from repro.dram.injection import (
+    BitErrorInjector,
+    inject_bit_errors,
+    inject_bit_errors_reference,
+)
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.models import build_model_with_dataset, get_spec
 from repro.nn.tensor import DataKind
@@ -102,8 +111,6 @@ def measure_quantized_throughput(model_name: str = "lenet", *,
     Returns a record dict with rows/second for both paths and the headline
     ``speedup`` CI gates on.
     """
-    import numpy as np
-
     from repro.nn.quantization import QuantizedLoadTransform
 
     if not dtype.startswith("int"):
@@ -206,3 +213,253 @@ def measure_characterization_sweep(model_name: str = "resnet101", *,
         "per_read_scores": legacy["scores"],
         "static_store_scores": static["scores"],
     }
+
+
+def _best_of(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure_injection(name: str, *, size: int, bits: int, model_id: int,
+                      ber: float, reference_repeats: int = 2,
+                      packed_repeats: int = 3) -> Dict:
+    """Injection throughput of the packed engine vs the boolean reference.
+
+    Injects error model ``model_id`` at ``ber`` into a ``size``-element
+    tensor stored at ``bits`` bits; ``name`` labels the record.  The
+    reference path is timed best-of ``reference_repeats``, the packed path
+    best-of ``packed_repeats`` both cold (a fresh model per repeat, so the
+    weak-cell position cache never engages) and warm (the sweep access
+    pattern).  Returns a record dict with values/second for each path, the
+    cold and warm speedups and ``bit_identical`` (packed == reference).
+    """
+    values = np.random.default_rng(1).standard_normal(size).astype(np.float32)
+    model = make_error_model(model_id, ber, seed=3)
+    layout = DramLayout()
+
+    reference_s = _best_of(
+        lambda: inject_bit_errors_reference(values, bits, model, layout,
+                                            np.random.default_rng(7)),
+        reference_repeats)
+    cold_s = _best_of(
+        lambda: inject_bit_errors(values, bits,
+                                  make_error_model(model_id, ber, seed=3),
+                                  layout, np.random.default_rng(7)),
+        packed_repeats)
+    inject_bit_errors(values, bits, model, layout, np.random.default_rng(7))
+    warm_s = _best_of(
+        lambda: inject_bit_errors(values, bits, model, layout,
+                                  np.random.default_rng(7)),
+        packed_repeats)
+
+    # The whole point of the packed engine is that it changes nothing but time.
+    reference_out = inject_bit_errors_reference(values, bits, model, layout,
+                                                np.random.default_rng(7))
+    packed_out = inject_bit_errors(values, bits, model, layout,
+                                   np.random.default_rng(7))
+    return {
+        "name": name,
+        "size": size,
+        "bits": bits,
+        "model_id": model_id,
+        "ber": ber,
+        "before_values_per_sec": size / reference_s,
+        "after_values_per_sec": size / cold_s,
+        "after_warm_values_per_sec": size / warm_s,
+        "speedup": reference_s / cold_s,
+        "warm_speedup": reference_s / warm_s,
+        "bit_identical": bool(np.array_equal(reference_out, packed_out,
+                                             equal_nan=True)),
+    }
+
+
+def injection_benchmark():
+    """The ``injection`` benchmark: four 1M-element injection configs.
+
+    The headline is FP32 at BER 1e-4 under Error Model 0.  Returns
+    ``(metrics, units, payload)``.
+    """
+    size = 1_000_000
+    results = [measure_injection(name, size=size, bits=bits,
+                                 model_id=model_id, ber=ber)
+               for name, bits, model_id, ber in (
+                   ("fp32_1M_ber1e-4_model0", 32, 0, 1e-4),
+                   ("fp32_1M_ber1e-4_model1", 32, 1, 1e-4),
+                   ("fp32_1M_ber1e-4_model3", 32, 3, 1e-4),
+                   ("int8_1M_ber1e-3_model0", 8, 0, 1e-3))]
+    headline = results[0]
+    metrics = {
+        "bit_identical": all(r["bit_identical"] for r in results),
+        "headline_speedup": headline["speedup"],
+        "headline_warm_speedup": headline["warm_speedup"],
+        "reference_values_per_sec": headline["before_values_per_sec"],
+        "cold_values_per_sec": headline["after_values_per_sec"],
+        "warm_values_per_sec": headline["after_warm_values_per_sec"],
+    }
+    units = {
+        "headline_speedup": "x", "headline_warm_speedup": "x",
+        "reference_values_per_sec": "values/s",
+        "cold_values_per_sec": "values/s", "warm_values_per_sec": "values/s",
+    }
+    payload = {"benchmark": "injection_throughput", "headline": headline,
+               "results": results}
+    return metrics, units, payload
+
+
+def inference_benchmark():
+    """The ``inference`` benchmark: ResNet-101 sweep and serving throughput.
+
+    Runs :func:`measure_characterization_sweep` at batch size 4 and
+    :func:`measure_inference_throughput` at its defaults.  Returns
+    ``(metrics, units, payload)``.
+    """
+    model = "resnet101"
+    sweep = measure_characterization_sweep(model, batch_size=4)
+    throughput = measure_inference_throughput(model)
+    batch1 = throughput[0]
+    metrics = {
+        "sweep_speedup": sweep["speedup"],
+        "per_read_seconds": sweep["per_read_seconds"],
+        "static_store_seconds": sweep["static_store_seconds"],
+        "batch1_static_store_images_per_sec":
+            batch1["static_store_images_per_sec"],
+        "batch1_semantics_speedup": batch1["semantics_speedup"],
+    }
+    units = {
+        "sweep_speedup": "x", "per_read_seconds": "s",
+        "static_store_seconds": "s",
+        "batch1_static_store_images_per_sec": "img/s",
+        "batch1_semantics_speedup": "x",
+    }
+    payload = {
+        "benchmark": "inference_throughput",
+        "headline": {
+            "name": f"{model}_weight_store_ber_sweep",
+            "speedup": sweep["speedup"],
+            "per_read_seconds": sweep["per_read_seconds"],
+            "static_store_seconds": sweep["static_store_seconds"],
+        },
+        "sweep": sweep,
+        "throughput": throughput,
+    }
+    return metrics, units, payload
+
+
+def quantized_benchmark():
+    """The ``quantized`` benchmark: int8 LeNet vs FP32, 16-row dispatches.
+
+    Runs :func:`measure_quantized_throughput` with the best of 5 passes.
+    Returns ``(metrics, units, payload)``.
+    """
+    model, dtype = "lenet", "int8"
+    record = measure_quantized_throughput(model, dtype=dtype, passes=5)
+    metrics = {
+        "speedup": record["speedup"],
+        "fp32_rows_per_sec": record["fp32_rows_per_sec"],
+        "quantized_rows_per_sec": record["quantized_rows_per_sec"],
+    }
+    units = {"speedup": "x", "fp32_rows_per_sec": "rows/s",
+             "quantized_rows_per_sec": "rows/s"}
+    payload = {
+        "benchmark": "quantized_throughput",
+        "headline": {
+            "name": f"{model}_{dtype}_dispatch_speedup",
+            "speedup": record["speedup"],
+            "fp32_rows_per_sec": record["fp32_rows_per_sec"],
+            "quantized_rows_per_sec": record["quantized_rows_per_sec"],
+        },
+        "record": record,
+    }
+    return metrics, units, payload
+
+
+def _corrected_store(network, dataset, error_model, seed: int,
+                     correction: str):
+    """Materialize one corrected static store; return (bytes dict, stats)."""
+    session = InferenceSession.from_error_model(
+        network, dataset, error_model, bits=32, seed=seed,
+        semantics=ReadSemantics.STATIC_STORE, correction=correction)
+    store = session.materialize()
+    data = {name: tensor.tobytes() for name, tensor in store.items()}
+    stats = {key: value for key, value in session.injector.ecc_stats.items()
+             if key != "per_tensor"}
+    return data, stats
+
+
+def measure_ecc(model_name: str = "lenet", *, epochs: int = 2,
+                seed: int = 0, ber: float = 1e-3,
+                bers: Sequence[float] = (1e-4, 1e-3, 1e-2),
+                correction: str = "rs72_64") -> Dict:
+    """ECC correction in the static weight-store loop.
+
+    Trains ``model_name`` for ``epochs`` epochs, materializes the same
+    Error Model 4 (burst) store at ``ber`` twice with the ``correction``
+    codec in the loop and compares the corrected bytes, then scores the
+    model raw vs corrected over ``bers`` (plus ``ber``) under identical
+    injection streams.  ``seed`` fixes every stream.  Returns a dict with
+    ``store_bit_identical``, the materialization decode ``stats``, the
+    ``sweep`` (keyed by BER, ascending) and its ``sweep_seconds``.
+    """
+    from repro.analysis.runner import ExperimentRunner
+    from repro.nn.training import Trainer
+
+    network, dataset, spec = build_model_with_dataset(model_name, seed=seed)
+    Trainer(network, dataset, spec.training_config(epochs=epochs)).fit()
+
+    error_model = make_error_model(4, ber, seed=seed)
+    first, stats = _corrected_store(network, dataset, error_model, seed,
+                                    correction)
+    second, _ = _corrected_store(network, dataset, error_model, seed,
+                                 correction)
+    bers = sorted(set(bers) | {ber})
+    started = time.perf_counter()
+    with ExperimentRunner(network, dataset, metric=spec.metric, seed=seed,
+                          semantics=ReadSemantics.STATIC_STORE) as runner:
+        sweep = runner.ecc_sweep(error_model, bers, correction=correction)
+    return {
+        "store_bit_identical": first == second,
+        "stats": stats,
+        "sweep": sweep,
+        "sweep_seconds": time.perf_counter() - started,
+    }
+
+
+def ecc_benchmark():
+    """The ``ecc`` benchmark: LeNet with RS(72,64) at BER 1e-3.
+
+    Runs :func:`measure_ecc` at its defaults; the headline is the raw vs
+    corrected accuracy split at BER 1e-3.  Returns
+    ``(metrics, units, payload)``.
+    """
+    model, correction, ber = "lenet", "rs72_64", 1e-3
+    record = measure_ecc(model, ber=ber, correction=correction)
+    stats, sweep = record["stats"], record["sweep"]
+    headline = sweep[ber]
+    metrics = {
+        "store_bit_identical": record["store_bit_identical"],
+        "corrected_symbols": stats["corrected_symbols"],
+        "corrected_codewords": stats["corrected_codewords"],
+        "uncorrectable_codewords": stats["uncorrectable_codewords"],
+        "raw_accuracy": headline["raw"],
+        "corrected_accuracy": headline["corrected"],
+        "sweep_seconds": record["sweep_seconds"],
+    }
+    units = {"sweep_seconds": "s", "raw_accuracy": "frac",
+             "corrected_accuracy": "frac"}
+    payload = {
+        "benchmark": "ecc_correction",
+        "headline": {
+            "name": f"{model}_{correction}_at_{ber:g}",
+            "raw_accuracy": headline["raw"],
+            "corrected_accuracy": headline["corrected"],
+            "uncorrectable_codewords": headline["uncorrectable_codewords"],
+        },
+        "store_bit_identical": record["store_bit_identical"],
+        "materialization_stats": stats,
+        "sweep": {f"{b:g}": point for b, point in sweep.items()},
+    }
+    return metrics, units, payload

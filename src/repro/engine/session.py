@@ -24,13 +24,10 @@ into an executable plan under one of two read semantics:
   for fixed seeds; the right model for transient-error studies (e.g. refresh
   or timing glitches that corrupt the bus rather than the cells).
 
-The session owns batching (``batch_size``), repeat averaging with the
-historical reseeding conventions, and optional process-pool sharding of the
-evaluation set.  Sharded results are deterministic for a fixed seed but not
-bit-identical to the serial order in per-read mode (each shard consumes its
-own injection stream); with no injector, or in static-store mode with a
-pre-materialized store and error-free IFMs, shards reproduce the serial
-result exactly.
+The session owns batching (``batch_size``) and repeat averaging with the
+historical reseeding conventions.  Parallel evaluation lives one layer up, in
+the shared-memory :class:`repro.parallel.SweepExecutor`, whose results are
+bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -51,10 +48,6 @@ from repro.nn.tensor import DataKind, TensorSpec
 
 #: sentinel distinguishing "argument not given" from an explicit None injector.
 _UNSET = object()
-
-#: module-level worker state for sharded evaluation (set once per worker by
-#: the pool initializer instead of pickling the network into every task).
-_WORKER_STATE: dict = {}
 
 
 #: one lock per live Network object (weakly keyed, so a lock's lifetime is
@@ -245,9 +238,6 @@ class InferenceSession:
         Inference batch size (64 matches the historical evaluation path).
     seed, repeats, reseed_stride:
         Defaults for the repeat-averaging loop; per-call overrides win.
-    processes:
-        When > 1, :meth:`evaluate` shards the evaluation set over a cached
-        process pool.
     execution_mode:
         :class:`~repro.nn.quantization.ExecutionMode` (or its string name)
         selecting the GEMM path.  ``FP32`` (the default) is the historical
@@ -261,7 +251,6 @@ class InferenceSession:
                  semantics: ReadSemantics = ReadSemantics.STATIC_STORE,
                  metric: str = "accuracy", batch_size: int = 64,
                  seed: int = 0, repeats: int = 1, reseed_stride: int = 1,
-                 processes: int = 0,
                  execution_mode=ExecutionMode.FP32):
         self.network = network
         self.dataset = dataset
@@ -272,7 +261,6 @@ class InferenceSession:
         self.seed = int(seed)
         self.repeats = int(repeats)
         self.reseed_stride = int(reseed_stride)
-        self.processes = int(processes)
         self.execution_mode = ExecutionMode.resolve(execution_mode)
         #: compiled integer plans, keyed by (injector fingerprint, seed).
         self._qplans: Dict[tuple, object] = {}
@@ -285,7 +273,6 @@ class InferenceSession:
         #: the identity-compared objects inside it (see _injector_fingerprint).
         self._store_key = None
         self._weight_spec_cache: Optional[List[TensorSpec]] = None
-        self._pool = None
         #: cached shared-memory export of the compiled plan (see export_plan);
         #: the config tuple records the store key and injector inclusion it
         #: was built for, so a fingerprint change re-exports.
@@ -350,10 +337,7 @@ class InferenceSession:
 
         Call after reconfiguring the network (e.g.
         :meth:`~repro.nn.network.Network.set_data_precision`): the next
-        evaluation re-records the load specs and re-materializes.  The shard
-        worker pool is also shut down — its workers hold a pickled snapshot
-        of the network taken at pool creation, which the reconfiguration
-        just made stale.
+        evaluation re-records the load specs and re-materializes.
         """
         self._store = None
         self._store_key = None
@@ -362,7 +346,6 @@ class InferenceSession:
         # externally owned (shared memory) and survives invalidation.
         self._qplans.clear()
         self._drop_export()
-        self.close()
 
     def _drop_export(self) -> None:
         """Unlink the shared-memory plan export, if one exists."""
@@ -590,15 +573,13 @@ class InferenceSession:
     def evaluate(self, dataset=None, metric: Optional[str] = None, *,
                  injector=_UNSET, semantics: Optional[ReadSemantics] = None,
                  repeats: Optional[int] = None, seed: Optional[int] = None,
-                 stride: Optional[int] = None,
-                 processes: Optional[int] = None) -> float:
+                 stride: Optional[int] = None) -> float:
         """Mean validation score under the session's injection setup.
 
         Every argument defaults to the session's own setting: ``dataset``
         and ``metric`` select what is scored, ``injector``/``semantics``
-        override the injection setup, ``repeats``/``seed``/``stride`` drive
-        the repeat-averaging loop, and ``processes`` > 1 shards the
-        evaluation set over a worker pool.  The injector's stream is
+        override the injection setup, and ``repeats``/``seed``/``stride``
+        drive the repeat-averaging loop.  The injector's stream is
         restarted at ``seed + repeat * stride`` before each repeat (matching
         every historical call site); in static-store mode the reseed only
         affects the transient IFM stream — the weight store stays fixed
@@ -611,13 +592,10 @@ class InferenceSession:
         seed = self.seed if seed is None else int(seed)
         stride = self.reseed_stride if stride is None else int(stride)
         metric = self.metric if metric is None else metric
-        processes = self.processes if processes is None else int(processes)
         inputs, labels = _resolve_arrays(dataset if dataset is not None
                                          else self.dataset)
 
         if self._integer_mode_active(injector, semantics):
-            # The fused plan executes in-process (its kernels are exact, so
-            # there is nothing sharding could change but scheduling).
             return self._evaluate_integer(injector, inputs, labels, metric,
                                           repeats, seed)
 
@@ -625,10 +603,6 @@ class InferenceSession:
         if injector is not None and semantics is ReadSemantics.STATIC_STORE:
             store = self.materialize(injector, seed=seed)
 
-        if processes > 1 and len(inputs) >= 2 * processes:
-            return self._evaluate_sharded(injector, store, inputs, labels,
-                                          metric, repeats, seed, stride,
-                                          processes)
         return self._evaluate_serial(self.network, injector, store, inputs,
                                      labels, metric, repeats, seed, stride)
 
@@ -809,115 +783,12 @@ class InferenceSession:
 
         return self._run_with_plan(plan, body)
 
-    # -- sharded evaluation -------------------------------------------------------
-    def _worker_pool(self, processes: int):
-        """Lazily created, cached pool holding a snapshot of the network."""
-        if self._pool is None:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=processes,
-                initializer=_init_shard_worker,
-                initargs=(self.network, self.metric, self.batch_size),
-            )
-        return self._pool
-
-    def _evaluate_sharded(self, injector, store, inputs, labels, metric,
-                          repeats, seed, stride, processes) -> float:
-        """Fan contiguous dataset shards out over worker processes.
-
-        Each shard draws its own injection stream (seeded at ``seed +
-        shard_index * _SHARD_SEED_STRIDE``), so results are deterministic for
-        a fixed seed but not bit-identical to the serial evaluation order in
-        per-read mode.  The weight store, when present, is materialized once
-        here and shared by every shard — all shards see the same stored DNN,
-        exactly like clients of one DRAM module.
-        """
-        pool = self._worker_pool(processes)
-        bounds = _shard_bounds(len(inputs), processes)
-        futures = []
-        for index, (lo, hi) in enumerate(bounds):
-            futures.append(pool.submit(
-                _eval_shard, injector, store, inputs[lo:hi], labels[lo:hi],
-                metric, repeats, seed + index * _SHARD_SEED_STRIDE, stride,
-            ))
-        total = float(len(inputs))
-        self.stats["evaluations"] += repeats
-        return float(sum(f.result() * (hi - lo)
-                         for (lo, hi), f in zip(bounds, futures)) / total)
-
-    def close(self) -> None:
-        """Shut down the shard-worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "InferenceSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-#: shard streams are spaced far apart so neighbouring shards (and the repeat
-#: reseeds within them, stride <= a few hundred) can never collide.
-_SHARD_SEED_STRIDE = 100_003
 
 #: XOR salt separating the weight-materialization stream from the per-repeat
 #: IFM streams: repeat 0 reseeds at `seed`, so materializing at the same
 #: value would make stored-weight and IFM error positions perfectly
 #: correlated instead of independent draws.
 _MATERIALIZE_SEED_SALT = 0x5EED5EED
-
-
-def _shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous, near-equal [lo, hi) shard bounds covering range(n)."""
-    base, extra = divmod(n, shards)
-    bounds = []
-    lo = 0
-    for index in range(shards):
-        hi = lo + base + (1 if index < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def _init_shard_worker(network: Network, metric: str, batch_size: int) -> None:
-    _WORKER_STATE["network"] = network
-    _WORKER_STATE["metric"] = metric
-    _WORKER_STATE["batch_size"] = batch_size
-
-
-def _eval_shard(injector, store, inputs, labels, metric, repeats, seed,
-                stride) -> float:
-    network: Network = _WORKER_STATE["network"]
-    previous = network.fault_injector
-    if injector is None:
-        # Mirror the serial path: a hook installed directly on the network
-        # (pickled into the worker's snapshot) stays in effect.
-        hook = previous
-    elif store is not None:
-        hook = _StaticStoreReader(injector, store)
-    else:
-        hook = injector
-    scores = []
-    network.set_fault_injector(hook)
-    try:
-        for repeat in range(repeats):
-            if injector is not None:
-                _reseed(injector, seed + repeat * stride)
-            scores.append(_metric_evaluate(network, inputs, labels,
-                                           metric=metric,
-                                           batch_size=_WORKER_STATE["batch_size"]))
-    finally:
-        network.set_fault_injector(previous)
-    return float(np.mean(scores))
 
 
 def evaluate(network: Network, dataset, injector=None, *,

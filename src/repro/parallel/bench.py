@@ -1,8 +1,8 @@
-"""Parallel-executor measurements behind ``parallel-bench`` and CI.
+"""Parallel-executor measurements behind the ``parallel`` benchmark.
 
-Shared by the ``repro.cli parallel-bench`` subcommand and
-``benchmarks/bench_parallel.py`` (which records ``BENCH_parallel.json`` and
-gates CI).  One call to :func:`measure_parallel` produces:
+:func:`parallel_benchmark` is the registered measure callable of the
+``parallel`` benchmark (``repro.cli perf run --benchmark parallel`` records
+``BENCH_parallel.json``).  One call to :func:`measure_parallel` produces:
 
 * **characterization sweep, serial vs N workers** (the headline) — wall
   clock of scoring the coarse characterization's full BER grid (the exact
@@ -191,3 +191,45 @@ def measure_parallel(model_name: str = "lenet", *, processes: int = 4,
         "n_requests": int(n_requests),
         "max_batch": int(max_batch),
     }
+
+
+#: the four bit-identity flags of :func:`measure_parallel`, each a hard gate.
+_IDENTITY_KEYS = ("characterization_sweep_identical", "device_sweep_identical",
+                 "coarse_characterization_identical", "serving_identical")
+
+
+def parallel_benchmark():
+    """The ``parallel`` benchmark: LeNet, serial vs 4 shared-memory workers.
+
+    Runs :func:`measure_parallel` at its defaults.  Returns
+    ``(metrics, units, payload)``.
+    """
+    model, processes = "lenet", 4
+    record = measure_parallel(model, processes=processes)
+    metrics = {key: bool(record[key]) for key in _IDENTITY_KEYS}
+    metrics.update({
+        "characterization_sweep_speedup":
+            record["characterization_sweep_speedup"],
+        "characterization_sweep_serial_seconds":
+            record["characterization_sweep_serial_seconds"],
+        "characterization_sweep_parallel_seconds":
+            record["characterization_sweep_parallel_seconds"],
+    })
+    units = {
+        "characterization_sweep_speedup": "x",
+        "characterization_sweep_serial_seconds": "s",
+        "characterization_sweep_parallel_seconds": "s",
+    }
+    payload = {
+        "benchmark": "parallel_executor",
+        "headline": {
+            "name": f"{model}_characterization_sweep_{processes}_workers",
+            "speedup": record["characterization_sweep_speedup"],
+            "serial_seconds": record["characterization_sweep_serial_seconds"],
+            "parallel_seconds":
+                record["characterization_sweep_parallel_seconds"],
+            "bit_identical": all(record[key] for key in _IDENTITY_KEYS),
+        },
+        **record,
+    }
+    return metrics, units, payload

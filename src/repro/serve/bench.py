@@ -1,27 +1,36 @@
-"""Serving-gateway measurements behind ``serve-bench`` and CI.
+"""Serving-stack measurements behind the perf-history registry.
 
-Shared by the ``repro.cli serve-bench`` subcommand and
-``benchmarks/bench_serving.py`` (which records ``BENCH_serving.json`` and
-gates CI).  One call to :func:`measure_serving` produces:
+Three of the registered benchmarks (:data:`repro.analysis.perfhistory.BENCHMARKS`)
+measure this layer; ``repro.cli perf run`` calls their ``*_benchmark``
+callables, each returning ``(metrics, units, payload)``:
 
-* **batch-1 serial vs micro-batched** — wall clock of serving ``n_requests``
-  single-sample requests through a gateway compiled at batch shape 1 (every
-  request is its own forward pass) vs through a micro-batching gateway that
-  coalesces up to ``max_batch`` requests per dispatch.  The ratio is the
-  headline speedup CI gates on.
-* **bit-identity check** — within the micro-batching gateway, the coalesced
-  results are compared bit-for-bit against strictly serial per-request
-  dispatch through the same compiled plan (static batch shapes make the two
-  identical for fixed seeds).
-* **cold vs warm registry** — seconds to register an endpoint when the plan
-  must be compiled + materialized (cold) vs when the registry already holds
-  it (warm hit).
-* **async front end** — throughput of concurrent client threads submitting
-  through the worker-thread batcher.
+* :func:`serving_benchmark` — one call to :func:`measure_serving`:
 
-Untrained networks are used throughout: serving throughput does not depend
-on what the weights converged to, and skipping training keeps the benchmark
-a pure measurement of the serving stack.
+  * **batch-1 serial vs micro-batched** — wall clock of serving
+    ``n_requests`` single-sample requests through a gateway compiled at
+    batch shape 1 (every request is its own forward pass) vs through a
+    micro-batching gateway that coalesces up to ``max_batch`` requests per
+    dispatch.  The ratio is the headline speedup CI gates on.
+  * **bit-identity check** — within the micro-batching gateway, the
+    coalesced results are compared bit-for-bit against strictly serial
+    per-request dispatch through the same compiled plan (static batch
+    shapes make the two identical for fixed seeds).
+  * **cold vs warm registry** — seconds to register an endpoint when the
+    plan must be compiled + materialized (cold) vs when the registry
+    already holds it (warm hit).
+  * **async front end** — throughput of concurrent client threads
+    submitting through the worker-thread batcher.
+
+* :func:`server_benchmark` — the HTTP front end under generated load:
+  steady (bit-identical to in-process ``predict``), burst (must shed, and
+  admitted rows stay correct) and open-loop Poisson scenarios.
+* :func:`router_benchmark` — the router tier over 1 and 3 replicas sharing
+  one plan export (:func:`measure_topology`): bit identity and scale-out.
+
+:func:`build_serving_gateway` and :func:`request_set` are also the shared
+builders behind ``repro.cli serve``/``route``/``loadgen``.  Untrained
+networks are used throughout: serving throughput does not depend on what
+the weights converged to.
 """
 
 from __future__ import annotations
@@ -49,9 +58,6 @@ def request_set(dataset, n_requests: int) -> np.ndarray:
     repeats = -(-n_requests // len(val_x))        # ceil division
     return np.concatenate([val_x] * repeats)[:n_requests]
 
-
-#: backwards-compatible alias (pre-HTTP-front-end name).
-_request_set = request_set
 
 #: serving dtypes reachable from the CLI and benchmark drivers.
 SERVING_DTYPES = ("fp32", "int8", "int4", "int16")
@@ -89,8 +95,8 @@ def build_serving_gateway(model: str = "lenet", *, ber: float = 1e-3,
                           dtype: str = "fp32"):
     """Build the canonical one-endpoint serving gateway for ``model``.
 
-    The shared builder behind ``repro.cli serve`` / ``loadgen`` and
-    ``benchmarks/bench_server.py``: builds ``model`` from the zoo (trained
+    The shared builder behind ``repro.cli serve`` / ``loadgen`` and the
+    ``server`` and ``router`` benchmarks: builds ``model`` from the zoo (trained
     for ``epochs`` when > 0; untrained serves fine for throughput work),
     stores its weights in approximate DRAM at ``ber`` (error model
     ``model_id``, stream fixed by ``seed``), and registers it under its
@@ -232,3 +238,245 @@ def measure_serving(model_name: str = "lenet", *, ber: float = 1e-3,
             np.argmax(batched_outputs, axis=1))),
     }
     return record
+
+
+def serving_benchmark():
+    """The ``serving`` benchmark: LeNet at BER 1e-3, 512 requests, batch <= 32.
+
+    Runs :func:`measure_serving`.  Returns ``(metrics, units, payload)``.
+    """
+    model = "lenet"
+    record = measure_serving(model, n_requests=512, max_batch=32)
+    metrics = {
+        "bit_identical": bool(record["bit_identical"]),
+        "microbatch_speedup": record["microbatch_speedup"],
+        "serial_rps": record["serial_rps"],
+        "microbatched_rps": record["microbatched_rps"],
+        "async_rps": record["async_rps"],
+        "cold_register_seconds": record["cold_register_seconds"],
+        "warm_register_seconds": record["warm_register_seconds"],
+    }
+    units = {
+        "microbatch_speedup": "x", "serial_rps": "req/s",
+        "microbatched_rps": "req/s", "async_rps": "req/s",
+        "cold_register_seconds": "s", "warm_register_seconds": "s",
+    }
+    payload = {
+        "benchmark": "serving_gateway",
+        "headline": {
+            "name": f"{model}_microbatch_vs_batch1_serial",
+            "speedup": record["microbatch_speedup"],
+            "serial_batch1_seconds": record["serial_batch1_seconds"],
+            "microbatched_seconds": record["microbatched_seconds"],
+            "bit_identical": record["bit_identical"],
+        },
+        **record,
+    }
+    return metrics, units, payload
+
+
+def server_benchmark():
+    """The ``server`` benchmark: int8 LeNet behind the HTTP front end.
+
+    Serves through :func:`repro.serve.server.serve_in_thread` (queue depth
+    8, micro-batches of up to 16) and drives three
+    :mod:`repro.serve.loadgen` scenarios: 192 steady requests that must be
+    bit-identical to serial in-process ``session.predict``, a 64-request
+    burst that must shed while every admitted row stays correct, and 192
+    open-loop Poisson arrivals at 400 req/s (recorded, not gated).  Returns
+    ``(metrics, units, payload)``.
+    """
+    from repro.serve import loadgen
+    from repro.serve.server import ServerConfig, serve_in_thread
+
+    model, dtype, ber, seed = "lenet", "int8", 1e-3, 0
+    requests, burst_size, queue_depth, max_batch, rate = 192, 64, 8, 16, 400.0
+    gateway, session, dataset = build_serving_gateway(
+        model, ber=ber, seed=seed, max_batch=max_batch, max_wait_ms=2.0,
+        dtype=dtype)
+    handle = serve_in_thread(gateway,
+                             ServerConfig(max_queue_depth=queue_depth))
+    target = loadgen.HttpTarget(handle.base_url)
+    try:
+        steady_samples = request_set(dataset, requests)
+        reference = session.predict(steady_samples, pad_to=max_batch)
+        steady = loadgen.run_steady(target, model, steady_samples,
+                                    concurrency=4)
+        bit_identical = (steady.ok == steady.sent
+                         and steady.stacked_rows().tobytes()
+                         == reference.tobytes())
+
+        burst_samples = request_set(dataset, burst_size)
+        burst_reference = session.predict(burst_samples, pad_to=max_batch)
+        burst = loadgen.run_burst(target, model, burst_samples)
+        admitted_correct = all(
+            row.tobytes() == burst_reference[index].tobytes()
+            for index, row in burst.ok_rows().items())
+
+        open_loop = loadgen.run_open_loop(
+            target, model, request_set(dataset, requests), rate_rps=rate,
+            seed=seed)
+        snapshot = target.metrics()
+    finally:
+        target.close()
+        handle.stop()
+        gateway.close()
+
+    steady_record = steady.to_record()
+    open_record = open_loop.to_record()
+    metrics = {
+        "bit_identical": bool(bit_identical),
+        "burst_shed": int(burst.shed),
+        "burst_admitted_correct": bool(admitted_correct),
+        "steady_rps": steady_record["achieved_rps"],
+        "steady_p99_ms": steady_record["latency_ms"]["p99"],
+        "open_loop_rps": open_record["achieved_rps"],
+    }
+    units = {"burst_shed": "requests", "steady_rps": "req/s",
+             "steady_p99_ms": "ms", "open_loop_rps": "req/s"}
+    payload = {
+        "benchmark": "http_server",
+        "headline": {
+            "name": f"{model}_http_steady_bit_identity",
+            "bit_identical": bool(bit_identical),
+            "steady_rps": steady_record["achieved_rps"],
+            "burst_shed": int(burst.shed),
+            "burst_admitted_correct": bool(admitted_correct),
+        },
+        "model": model,
+        "dtype": dtype,
+        "execution_mode": session.mode_label(),
+        "ber": float(ber),
+        "queue_depth": int(queue_depth),
+        "max_batch": int(max_batch),
+        "steady": steady_record,
+        "burst": burst.to_record(),
+        "open_loop": open_record,
+        "bit_identical": bool(bit_identical),
+        "burst_admitted_correct": bool(admitted_correct),
+        "telemetry": snapshot,
+    }
+    return metrics, units, payload
+
+
+def measure_topology(plan, model: str, samples: np.ndarray, *,
+                     replicas: int, max_batch: int, queue_depth: int,
+                     concurrency: int) -> Dict:
+    """Steady-scenario throughput through a router over ``replicas`` replicas.
+
+    ``plan`` is the shared :class:`~repro.parallel.plan.ExportedPlan` every
+    replica adopts, ``model`` the endpoint name, ``samples`` the request
+    set; ``max_batch``/``queue_depth`` configure each replica and
+    ``concurrency`` the closed-loop client.  Returns a dict with the
+    :class:`~repro.serve.loadgen.LoadResult` record, the per-replica
+    request spread, the router's final metrics and the stacked response
+    ``rows`` (None unless every request succeeded).
+    """
+    from repro.serve import loadgen
+    from repro.serve.replica import ReplicaManager
+    from repro.serve.router import RouterConfig, route_in_thread
+    from repro.serve.server import ServerConfig
+
+    manager = ReplicaManager(
+        {model: plan},
+        serve_config=ServeConfig(max_batch=max_batch),
+        server_config=ServerConfig(max_queue_depth=queue_depth))
+    handle = None
+    target = None
+    try:
+        spawned = manager.spawn_many(replicas)
+        handle = route_in_thread(spawned, manager, RouterConfig())
+        target = loadgen.HttpTarget(handle.base_url)
+        loadgen.run_steady(target, model, samples[:4 * replicas],
+                           concurrency=concurrency)        # warm every replica
+        result = loadgen.run_steady(target, model, samples,
+                                    concurrency=concurrency)
+        metrics = target.metrics()
+    finally:
+        if target is not None:
+            target.close()
+        if handle is not None:
+            handle.stop()
+        manager.close()
+    return {
+        "replicas": replicas,
+        "steady": result.to_record(),
+        "replica_spread": result.replica_counts(),
+        "router": metrics["router"],
+        "rows": result.stacked_rows() if result.ok == result.sent else None,
+    }
+
+
+def router_benchmark():
+    """The ``router`` benchmark: int8 LeNet through 1 vs 3 routed replicas.
+
+    Exports one plan, measures 192 steady requests from 12 closed-loop
+    workers through :func:`measure_topology` at 1 and 3 replicas (queue
+    depth 64, micro-batches of up to 16), and checks both response sets
+    against serial in-process ``session.predict``.  Returns
+    ``(metrics, units, payload)``.
+    """
+    import os
+
+    from repro.parallel.plan import export_session_plan
+
+    model, dtype, ber, seed = "lenet", "int8", 1e-3, 0
+    requests, replicas, concurrency, queue_depth, max_batch = 192, 3, 12, 64, 16
+    gateway, session, dataset = build_serving_gateway(
+        model, ber=ber, seed=seed, max_batch=max_batch, max_wait_ms=2.0,
+        dtype=dtype)
+    samples = request_set(dataset, requests)
+    reference = session.predict(samples, pad_to=max_batch)
+    plan = export_session_plan(session)
+    try:
+        single = measure_topology(
+            plan, model, samples, replicas=1, max_batch=max_batch,
+            queue_depth=queue_depth, concurrency=concurrency)
+        scaled = measure_topology(
+            plan, model, samples, replicas=replicas, max_batch=max_batch,
+            queue_depth=queue_depth, concurrency=concurrency)
+    finally:
+        plan.close()
+        gateway.close()
+
+    def identical(topology: Dict) -> bool:
+        rows = topology.pop("rows")
+        return rows is not None and rows.tobytes() == reference.tobytes()
+
+    single_identical = identical(single)
+    bit_identical = identical(scaled) and single_identical
+    rps_single = single["steady"]["achieved_rps"]
+    rps_scaled = scaled["steady"]["achieved_rps"]
+    speedup = rps_scaled / rps_single if rps_single > 0 else float("nan")
+    metrics = {
+        "bit_identical": bool(bit_identical),
+        "scaleout_speedup": float(speedup),
+        "rps_1_replica": float(rps_single),
+        "rps_scaled": float(rps_scaled),
+        "scaled_replicas": int(replicas),
+    }
+    units = {"scaleout_speedup": "x", "rps_1_replica": "req/s",
+             "rps_scaled": "req/s", "scaled_replicas": "replicas"}
+    payload = {
+        "benchmark": "router",
+        "headline": {
+            "name": f"{model}_router_{replicas}x_scaling",
+            "bit_identical": bool(bit_identical),
+            "rps_1_replica": rps_single,
+            f"rps_{replicas}_replicas": rps_scaled,
+            "speedup": speedup,
+        },
+        "model": model,
+        "dtype": dtype,
+        "execution_mode": session.mode_label(),
+        "ber": float(ber),
+        "requests": int(requests),
+        "concurrency": int(concurrency),
+        "queue_depth": int(queue_depth),
+        "max_batch": int(max_batch),
+        "cpus_visible": int(os.cpu_count() or 1),
+        "single": single,
+        "scaled": scaled,
+        "bit_identical": bool(bit_identical),
+    }
+    return metrics, units, payload

@@ -170,7 +170,7 @@ class LoadResult:
         """Requests served per replica (router runs; empty otherwise).
 
         Returns a histogram of :attr:`RequestRecord.replica` over the
-        records that carried one — how ``bench_router`` shows the balancer
+        records that carried one — how the ``router`` benchmark shows the balancer
         actually spread traffic.
         """
         counts: Dict[str, int] = {}
@@ -185,8 +185,8 @@ class LoadResult:
         Returns scenario name and parameters, outcome counters, duration,
         achieved request rate, client-side latency percentiles over the
         successful requests, and the status histogram (raw per-request
-        statuses stay on :attr:`records`) — everything
-        ``benchmarks/bench_server.py`` persists.
+        statuses stay on :attr:`records`) — everything the ``server``
+        benchmark persists.
         """
         latencies = [r.latency_s for r in self.records if r.ok]
         return {

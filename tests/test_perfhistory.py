@@ -3,23 +3,20 @@
 Covers the record schema and environment fingerprint, the append-only
 history store, the degradation detector (empty history seeds the baseline,
 single-entry baselines, environment-mismatch exclusion, exact threshold
-boundaries), the hard/advisory enforcement split of ``finish_run``, and a
-synthetic injected regression that must fail ``repro.cli perf check``.
+boundaries), the hard/advisory enforcement split of ``finish_run`` and
+``repro.cli perf run``, and a synthetic injected regression that must fail
+``repro.cli perf check``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import perfhistory as ph
 from repro.cli import main as cli_main
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def make_env(**overrides) -> ph.EnvFingerprint:
@@ -129,8 +126,8 @@ class TestSnapshot:
 
 
 SPEEDUP_GATE = ph.GateSpec("g", "speedup", floor=2.0, tolerance=0.25)
-TOY_SPEC = ph.BenchmarkSpec("toy", "BENCH_toy.json", "bench_toy.py", "toy",
-                            gates=(SPEEDUP_GATE,))
+TOY_SPEC = ph.BenchmarkSpec("toy", "BENCH_toy.json", "toy_module:measure",
+                            "toy", gates=(SPEEDUP_GATE,))
 
 
 def one_gate(record, prior, gate=SPEEDUP_GATE):
@@ -230,13 +227,9 @@ class TestRegistry:
                                       "quantized", "parallel", "server",
                                       "router", "ecc"}
 
-    def test_every_script_exists_and_uses_the_harness(self):
+    def test_every_measure_resolves_to_a_callable(self):
         for spec in ph.BENCHMARKS.values():
-            script = BENCH_DIR / spec.script
-            assert script.is_file(), spec.script
-            source = script.read_text()
-            assert "finish_run" in source, spec.script
-            assert f'BENCHMARKS["{spec.name}"]' in source, spec.script
+            assert callable(spec.resolve()), spec.measure
 
     def test_identity_gates_are_hard_and_floors_match_ci_history(self):
         floors = {name: {g.metric: g.floor for g in spec.gates
@@ -258,45 +251,79 @@ class TestRegistry:
 
 
 class TestFinishRun:
-    def run(self, tmp_path, metrics, spec, enforce="hard", prior=()):
-        args = argparse.Namespace(output=str(tmp_path / "snap.json"),
-                                  history=str(tmp_path / "hist.jsonl"))
-        store = ph.HistoryStore(args.history)
-        for record in prior:
-            store.append(record)
-        code = ph.finish_run(spec, args, metrics, {"benchmark": "toy"},
-                             enforce=enforce)
-        return code, args
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # finish_run writes the snapshot here
+
+    def run(self, tmp_path, metrics, spec):
+        history = tmp_path / "hist.jsonl"
+        code = ph.finish_run(spec, metrics, {"benchmark": "toy"},
+                             history=history)
+        return code, tmp_path / spec.snapshot, history
 
     def test_writes_snapshot_and_appends_history(self, tmp_path, capsys):
-        code, args = self.run(tmp_path, {"speedup": 9.0}, TOY_SPEC)
+        code, output, history = self.run(tmp_path, {"speedup": 9.0}, TOY_SPEC)
         assert code == 0
-        assert json.loads(Path(args.output).read_text())["perf"]["metrics"] \
+        assert json.loads(output.read_text())["perf"]["metrics"] \
             == {"speedup": 9.0}
-        assert len(ph.HistoryStore(args.history).entries_for("toy")) == 1
-        assert "perf gates: toy" in capsys.readouterr().out
+        assert len(ph.HistoryStore(history).entries_for("toy")) == 1
+        out = capsys.readouterr().out
+        assert "perf metrics: toy" in out and "perf gates: toy" in out
 
     def test_hard_failure_is_fatal(self, tmp_path, capsys):
         spec = dataclasses.replace(TOY_SPEC, gates=(
             ph.GateSpec("ident", "bit_identical", kind="identity"),))
-        code, _ = self.run(tmp_path, {"bit_identical": False}, spec)
+        code, _, _ = self.run(tmp_path, {"bit_identical": False}, spec)
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
     def test_speedup_failure_is_advisory_for_scripts(self, tmp_path, capsys):
-        code, _ = self.run(tmp_path, {"speedup": 1.0}, TOY_SPEC)
-        assert code == 0      # scripts only die on hard gates...
-        assert "WARN" in capsys.readouterr().err
-        code, _ = self.run(tmp_path, {"speedup": 1.0}, TOY_SPEC,
-                           enforce="all")
-        assert code == 1      # ...perf check enforces everything
+        code, _, _ = self.run(tmp_path, {"speedup": 1.0}, TOY_SPEC)
+        assert code == 0      # a run only dies on hard gates;
+        assert "WARN" in capsys.readouterr().err   # perf check enforces it
 
     def test_failed_run_is_still_recorded(self, tmp_path):
         spec = dataclasses.replace(TOY_SPEC, gates=(
             ph.GateSpec("ident", "bit_identical", kind="identity"),))
-        code, args = self.run(tmp_path, {"bit_identical": False}, spec)
+        code, _, history = self.run(tmp_path, {"bit_identical": False}, spec)
         assert code == 1
-        assert len(ph.HistoryStore(args.history).load()) == 1
+        assert len(ph.HistoryStore(history).load()) == 1
+
+
+class TestPerfRun:
+    def test_run_records_toy_benchmark_and_exit_codes(self, tmp_path,
+                                                      monkeypatch, capsys):
+        metrics = {"bit_identical": True, "speedup": 9.0}
+        monkeypatch.setattr(ph.BenchmarkSpec, "resolve", lambda self: lambda: (
+            dict(metrics), {"speedup": "x"}, {"benchmark": "toy"}))
+        spec = dataclasses.replace(TOY_SPEC, gates=(
+            ph.GateSpec("ident", "bit_identical", kind="identity"),
+            SPEEDUP_GATE))
+        monkeypatch.setattr(ph, "BENCHMARKS", {"toy": spec})
+        monkeypatch.chdir(tmp_path)
+        hist = tmp_path / "hist.jsonl"
+        argv = ["perf", "run", "--history", str(hist)]
+
+        assert cli_main(argv) == 0
+        stamp = json.loads((tmp_path / "BENCH_toy.json").read_text())["perf"]
+        assert stamp["benchmark"] == "toy"
+        assert stamp["metrics"] == metrics
+        assert stamp["units"] == {"speedup": "x"}
+        assert len(ph.HistoryStore(hist).entries_for("toy")) == 1
+
+        metrics["speedup"] = 1.0        # below the floor: advisory only
+        assert cli_main(argv + ["--benchmark", "toy"]) == 0
+        assert "WARN: toy/g" in capsys.readouterr().err
+
+        metrics["bit_identical"] = False
+        assert cli_main(argv) == 1      # a hard gate failed
+        assert len(ph.HistoryStore(hist).entries_for("toy")) == 3
+
+    def test_unknown_benchmark_fails_before_measuring(self, tmp_path, capsys):
+        assert cli_main(["perf", "run", "--history", str(tmp_path / "h"),
+                         "--benchmark", "nope"]) == 1
+        assert "unknown benchmark" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
 
 
 class TestPerfCheck:

@@ -420,6 +420,19 @@ class TestGateway:
         assert 0 <= label < network.num_classes
         gateway.close()
 
+    def test_measure_serving_bit_identical_with_telemetry(self):
+        from repro.analysis.reporting import format_serving_report
+        from repro.serve.bench import measure_serving
+
+        record = measure_serving(n_requests=48, max_batch=8)
+        assert record["bit_identical"] is True
+        assert record["microbatch_speedup"] > 0
+        telemetry = record["telemetry"]
+        assert telemetry["models"]["lenet"]["requests"] >= 48
+        assert telemetry["registry"]["compilations"] >= 1
+        report = format_serving_report(telemetry)
+        assert "Serving telemetry" in report and "Session registry" in report
+
 
 class TestSessionPredict:
     def test_static_shapes_make_rows_batch_invariant(self, lenet_clone):
