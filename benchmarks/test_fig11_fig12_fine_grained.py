@@ -20,19 +20,28 @@ from repro.core.config import EdenConfig
 from benchmarks.conftest import BASELINE_EPOCHS, print_header, run_once
 
 
+#: the Figure 11 characterization, computed once per run: it is seeded and
+#: takes minutes, and Figure 12 maps the very same result.
+_FINE = {}
+
+
+def characterize_fine():
+    if "fine" not in _FINE:
+        config = EdenConfig(evaluation_repeats=1, fine_max_rounds=4,
+                            fine_validation_fraction=0.5, seed=0)
+        _FINE["fine"] = fig11_fine_characterization(
+            "resnet101", epochs=BASELINE_EPOCHS, config=config)
+    return _FINE["fine"]
+
+
 @pytest.fixture(scope="module")
 def fine_characterization():
-    config = EdenConfig(evaluation_repeats=1, fine_max_rounds=4,
-                        fine_validation_fraction=0.5, seed=0)
-    return fig11_fine_characterization("resnet101", epochs=BASELINE_EPOCHS, config=config)
+    return characterize_fine()
 
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_per_tensor_tolerable_ber(benchmark):
-    config = EdenConfig(evaluation_repeats=1, fine_max_rounds=4,
-                        fine_validation_fraction=0.5, seed=0)
-    fine = run_once(benchmark, fig11_fine_characterization,
-                    "resnet101", epochs=BASELINE_EPOCHS, config=config)
+    fine = run_once(benchmark, characterize_fine)
 
     ordered = sorted(fine.specs, key=lambda s: s.layer_index)
     print_header("Figure 11: per-tensor tolerable BER (ResNet analogue)")
