@@ -13,7 +13,7 @@ These cover the paper's secondary findings:
 import pytest
 
 from repro.analysis.reporting import format_series
-from repro.analysis.sweep import ber_sweep
+from repro.analysis.runner import ExperimentRunner
 from repro.core.correction import CorrectionMode, ImplausibleValueCorrector, ThresholdStore
 from repro.dram.error_models import make_error_model
 from repro.nn.models import build_model_with_dataset, get_spec
@@ -28,8 +28,8 @@ BERS = (1e-4, 1e-3, 1e-2)
 def _sweep_with_mode(network, dataset, mode):
     thresholds = ThresholdStore.from_network(network, dataset.train_x)
     corrector = None if mode is None else ImplausibleValueCorrector(thresholds, mode)
-    return ber_sweep(network, dataset, make_error_model(0, 1e-3, seed=0),
-                     BERS, corrector=corrector, repeats=2, seed=0)
+    return ExperimentRunner(network, dataset, repeats=2, seed=0).ber_sweep(
+        make_error_model(0, 1e-3, seed=0), BERS, corrector=corrector)
 
 
 @pytest.mark.benchmark(group="ablation-correction")
@@ -73,9 +73,9 @@ def test_ablation_pruning_does_not_change_error_tolerance(benchmark):
                 Trainer(network, dataset, spec.training_config(epochs=2)).fit()
             thresholds = ThresholdStore.from_network(network, dataset.train_x)
             corrector = ImplausibleValueCorrector(thresholds)
-            results[sparsity] = ber_sweep(
-                network, dataset, make_error_model(0, 1e-3, seed=0), BERS,
-                corrector=corrector, repeats=2, seed=0)
+            results[sparsity] = ExperimentRunner(
+                network, dataset, repeats=2, seed=0).ber_sweep(
+                make_error_model(0, 1e-3, seed=0), BERS, corrector=corrector)
         return results
 
     curves = run_once(benchmark, experiment)
@@ -103,12 +103,12 @@ def test_ablation_correction_extends_tolerable_ber(benchmark, trained_lenet):
 
     def experiment():
         thresholds = ThresholdStore.from_network(network, dataset.train_x)
-        with_correction = ber_sweep(
-            network, dataset, make_error_model(0, 1e-3, seed=0), fine_bers,
-            corrector=ImplausibleValueCorrector(thresholds), repeats=2, seed=0)
-        without_correction = ber_sweep(
-            network, dataset, make_error_model(0, 1e-3, seed=0), fine_bers,
-            corrector=None, repeats=2, seed=0)
+        runner = ExperimentRunner(network, dataset, repeats=2, seed=0)
+        with_correction = runner.ber_sweep(
+            make_error_model(0, 1e-3, seed=0), fine_bers,
+            corrector=ImplausibleValueCorrector(thresholds))
+        without_correction = runner.ber_sweep(
+            make_error_model(0, 1e-3, seed=0), fine_bers, corrector=None)
         return {"corrected": with_correction, "uncorrected": without_correction}
 
     curves = run_once(benchmark, experiment)

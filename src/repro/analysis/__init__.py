@@ -1,9 +1,10 @@
 """Analysis helpers: parameter sweeps and regeneration of the paper's artifacts.
 
-* :mod:`repro.analysis.runner`    — the unified sweep/score engine every
-  injection experiment runs on (injector reuse, memoized baselines,
-  optional process-pool parallelism);
-* :mod:`repro.analysis.sweep`     — voltage / tRCD / BER sweep utilities;
+* :mod:`repro.analysis.runner`    — :class:`ExperimentRunner`, the sweep
+  runner every injection experiment scores through (BER, device and ECC
+  sweeps, memoized baselines, optional shared-memory parallelism);
+* :mod:`repro.analysis.sweep`     — voltage / tRCD operating-point
+  constructors;
 * :mod:`repro.analysis.figures`   — data series for each figure of the paper;
 * :mod:`repro.analysis.tables`    — structured rows for each table;
 * :mod:`repro.analysis.reporting` — plain-text rendering used by the examples
@@ -15,12 +16,11 @@
 """
 
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweep import ber_sweep, trcd_sweep, voltage_sweep_points
+from repro.analysis.sweep import trcd_sweep, voltage_sweep_points
 from repro.analysis.reporting import format_series, format_table
 
 __all__ = [
     "ExperimentRunner",
-    "ber_sweep",
     "trcd_sweep",
     "voltage_sweep_points",
     "format_series",

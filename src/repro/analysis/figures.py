@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweep import accuracy_on_device, ber_sweep, trcd_sweep, voltage_sweep_points
+from repro.analysis.sweep import trcd_sweep, voltage_sweep_points
 from repro.core.boosting import curricular_retrain, non_curricular_retrain
 from repro.core.characterization import fine_grained_characterization
 from repro.core.config import AccuracyTarget, EdenConfig
@@ -214,15 +214,12 @@ def fig09_boosted_on_device(model_name: str = "lenet",
     result: Dict[str, Dict[str, Dict[float, float]]] = {"voltage": {}, "trcd": {}}
 
     voltage_ops = voltage_sweep_points(device, voltages)
-    for label, net in (("baseline", network), ("boosted", boosted)):
-        curve = accuracy_on_device(net, dataset, device, voltage_ops,
-                                   corrector=corrector, metric=spec.metric, seed=seed)
-        result["voltage"][label] = {op.vdd: acc for op, acc in curve.items()}
-
     trcd_ops = trcd_sweep(device, trcd_values_ns)
     for label, net in (("baseline", network), ("boosted", boosted)):
-        curve = accuracy_on_device(net, dataset, device, trcd_ops,
-                                   corrector=corrector, metric=spec.metric, seed=seed)
+        runner = ExperimentRunner(net, dataset, metric=spec.metric, seed=seed)
+        curve = runner.device_sweep(device, voltage_ops, corrector=corrector)
+        result["voltage"][label] = {op.vdd: acc for op, acc in curve.items()}
+        curve = runner.device_sweep(device, trcd_ops, corrector=corrector)
         result["trcd"][label] = {op.trcd_ns: acc for op, acc in curve.items()}
     return result
 
@@ -260,8 +257,8 @@ def fig10_retraining_ablation(model_name: str = "lenet",
     evaluation_model = good_fit
 
     def sweep(net) -> Dict[float, float]:
-        return ber_sweep(net, dataset, evaluation_model, bers, corrector=corrector,
-                         metric=spec.metric, seed=seed)
+        runner = ExperimentRunner(net, dataset, metric=spec.metric, seed=seed)
+        return runner.ber_sweep(evaluation_model, bers, corrector=corrector)
 
     good_boost = curricular_retrain(network, dataset, good_fit, target_ber, config, thresholds)
     poor_boost = curricular_retrain(network, dataset, poor_fit, target_ber, config, thresholds)

@@ -1,42 +1,34 @@
-"""Unified sweep runner for every injection experiment.
+"""The sweep runner every injection experiment scores through.
 
-Before this module existed, :mod:`repro.analysis.sweep`,
-:mod:`repro.core.characterization`, :mod:`repro.core.boosting` and the figure
-benchmarks each carried their own copy of the same loop: install an injector
-on the network, reseed it per repeat, evaluate, average, restore the previous
-injector.  That loop now lives in
-:class:`repro.engine.session.InferenceSession` (which also owns batching and
-the static-store/per-read read semantics); :class:`ExperimentRunner` binds one
-session to a (network, dataset, metric) triple and adds the sweep vocabulary
-plus the things the historical copies could not share:
+:class:`ExperimentRunner` binds one
+:class:`repro.engine.session.InferenceSession` (which owns the
+install/reseed/evaluate/restore loop, batching and the read semantics) to a
+(network, dataset, metric) triple and adds the sweep vocabulary on top:
 
-* **injector reuse** — one :class:`~repro.dram.injection.BitErrorInjector`
-  (or :class:`~repro.dram.injection.DeviceBackedInjector`) is reused across
-  all points of a sweep; per point only the error model / operating point is
-  swapped and the RNG restarted, which is stream-identical to constructing a
-  fresh injector with that seed;
+* **one scoring loop** — every sweep (BER grids,
+  :meth:`~ExperimentRunner.ber_sweep`; device operating points,
+  :meth:`~ExperimentRunner.device_sweep`) builds a fresh injector per
+  point and scores it through one helper, so points are order-independent;
+  :meth:`~ExperimentRunner.ecc_sweep` scores a fresh raw/ECC injector pair
+  per point, serially, to keep the decode accounting per point;
 * **memoized baseline scores** — the injection-free score of a
   (network, dataset, metric) triple is computed once per runner;
 * **shared-memory parallelism** — with ``processes=N`` the runner holds one
   :class:`repro.parallel.SweepExecutor`: the network and dataset are
   exported to shared memory once, worker processes attach zero-copy views,
-  and every sweep family fans out through the same pool — BER grids
-  (:meth:`~ExperimentRunner.ber_sweep`), device operating points
-  (:meth:`~ExperimentRunner.device_sweep`), per-tensor BER assignments
-  (:meth:`~ExperimentRunner.per_tensor_sweep`) and the repeat loop of a
-  single point (:meth:`~ExperimentRunner.score`).  Each task is
-  independently seeded with exactly the stream the serial loop would have
-  restarted, so parallel results are bit-identical to serial ones.
+  and sweep points (or the repeats of a single
+  :meth:`~ExperimentRunner.score`) fan out over the same pool.  Each task is
+  seeded with exactly the stream the serial loop restarts, so parallel
+  results are bit-identical to serial ones.
 
-Seeding conventions differ between the historical call sites (``seed +
-repeat`` in the sweeps and retraining, ``seed + repeat * 101`` in the
-characterization); ``reseed_stride`` preserves each convention so existing
-results stay bit-exact.
+Seeding conventions differ between call sites (``seed + repeat`` in the
+sweeps and retraining, ``seed + repeat * 101`` in the characterization);
+``reseed_stride`` selects the convention.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dram.device import ApproximateDram, DramOperatingPoint
 from repro.dram.error_models import ErrorModel
@@ -52,8 +44,8 @@ class ExperimentRunner:
     The install/reseed/evaluate/restore loop itself lives in
     :class:`repro.engine.session.InferenceSession`; the runner binds one
     session to the (network, dataset, metric) triple and layers the sweep
-    vocabulary (BER grids, device operating points, per-tensor BER
-    assignments, shared-memory fan-out of sweep points) on top.
+    vocabulary (BER grids, device operating points, ECC decode accounting,
+    shared-memory fan-out of sweep points) on top.
     ``semantics`` selects the session's read semantics: the default
     :attr:`ReadSemantics.PER_READ` reproduces the historical per-batch
     injection results bit-exactly, while :attr:`ReadSemantics.STATIC_STORE`
@@ -129,67 +121,54 @@ class ExperimentRunner:
             return self._sweep_executor().score_repeats(
                 injector, repeats=repeats, seed=seed, stride=stride,
                 dataset=self._executor_dataset(dataset))
-        return self.session.score(injector, repeats=repeats, seed=seed,
-                                  stride=stride, dataset=dataset)
+        return self.session.evaluate(dataset, injector=injector,
+                                     repeats=repeats, seed=seed, stride=stride)
 
-    def evaluate(self, injector=None, *, repeats: Optional[int] = None,
-                 seed: Optional[int] = None, stride: Optional[int] = None,
-                 dataset: Optional[Dataset] = None) -> float:
-        """Score ``injector`` (or the baseline when it is None) in one call.
+    def _score_points(self, points: Sequence, make_injector: Callable, *,
+                      repeats: Optional[int], seed: Optional[int],
+                      stride: Optional[int]) -> List[float]:
+        """Score a fresh ``make_injector(point)`` at every sweep point.
 
-        ``repeats``/``seed``/``stride``/``dataset`` forward to :meth:`score`.
-        Returns :meth:`baseline` for ``injector=None``, else :meth:`score`.
+        The loop behind :meth:`ber_sweep` and :meth:`device_sweep`:
+        ``repeats`` streams from ``seed`` spaced by ``stride`` (the runner's
+        defaults where None) per point.  Each point gets its own injector,
+        so points are order-independent: with ``processes`` > 1 and several
+        points they fan out over the executor, bit-identical to the serial
+        loop, which builds each injector only when its point is scored.
+        Returns the scores in point order.
         """
-        if injector is None:
-            return self.baseline(dataset)
-        return self.score(injector, repeats=repeats, seed=seed, stride=stride,
-                          dataset=dataset)
+        repeats = self.repeats if repeats is None else int(repeats)
+        seed = self.seed if seed is None else int(seed)
+        stride = self.reseed_stride if stride is None else int(stride)
+        if self.processes > 1 and len(points) > 1:
+            return self._sweep_executor().score_many(
+                [make_injector(point) for point in points], repeats=repeats,
+                seed=seed, stride=stride)
+        return [self.score(make_injector(point), repeats=repeats, seed=seed,
+                           stride=stride)
+                for point in points]
 
     # -- model-driven sweeps ------------------------------------------------------
     def ber_sweep(self, error_model: ErrorModel, bers: Sequence[float], *,
                   bits: int = 32, corrector: Optional[Corrector] = None,
-                  correction=None,
                   repeats: Optional[int] = None, seed: Optional[int] = None,
                   stride: Optional[int] = None) -> Dict[float, float]:
         """Score at each bit error rate in ``bers`` (the Figure 8/10 x-axis).
 
         Every point rescales the base ``error_model`` to the target BER and
-        restarts the injection stream (``repeats`` streams from ``seed``
-        spaced by ``stride``), injecting at ``bits``-bit precision through
-        the optional ``corrector`` — so points are order-independent, which
-        is what makes the executor fan-out below legal.  ``correction``
-        (a codec name from :data:`repro.core.ecc.CODECS` or an
-        :class:`~repro.core.ecc.RsCodecModel`) layers symbol-level ECC over
-        every injected load, scoring the post-correction weights; see
-        :meth:`ecc_sweep` for the variant that also returns the decode
-        accounting.  Returns a ``{ber: score}`` dict.
+        scores a fresh injector at ``bits``-bit precision through the
+        optional ``corrector`` (``repeats`` streams from ``seed`` spaced by
+        ``stride``).  Returns a ``{ber: score}`` dict.
         """
-        repeats = self.repeats if repeats is None else int(repeats)
         seed = self.seed if seed is None else int(seed)
-        stride = self.reseed_stride if stride is None else int(stride)
-        codec = _resolve_codec(correction)
 
-        if self.processes > 1 and len(bers) > 1:
-            # One fresh injector per point, pickled into its task — the
-            # stream each worker restarts is exactly the serial one.
-            injectors = [
-                BitErrorInjector(error_model.with_ber(ber), bits=bits,
-                                 corrector=corrector, seed=seed, ecc=codec)
-                for ber in bers
-            ]
-            scores = self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed, stride=stride)
-            return {float(ber): score for ber, score in zip(bers, scores)}
+        def make(ber):
+            return BitErrorInjector(error_model.with_ber(ber), bits=bits,
+                                    corrector=corrector, seed=seed)
 
-        # Serial path: one injector object, reused across all points.
-        injector = BitErrorInjector(error_model, bits=bits, corrector=corrector,
-                                    seed=seed, ecc=codec)
-        results: Dict[float, float] = {}
-        for ber in bers:
-            injector.set_error_model(error_model.with_ber(ber))
-            results[float(ber)] = self.score(injector, repeats=repeats, seed=seed,
-                                             stride=stride)
-        return results
+        scores = self._score_points(bers, make, repeats=repeats, seed=seed,
+                                    stride=stride)
+        return {float(ber): score for ber, score in zip(bers, scores)}
 
     def ecc_sweep(self, error_model: ErrorModel, bers: Sequence[float], *,
                   bits: int = 32, correction="rs72_64",
@@ -201,11 +180,11 @@ class ExperimentRunner:
         scored twice under identical injection streams (``repeats`` streams
         from ``seed`` spaced by ``stride``, ``bits``-bit precision): once
         raw, once decoding each load through the ``correction`` codec (name
-        or :class:`~repro.core.ecc.RsCodecModel`).  Points always run
-        serially so the codec accounting stays in-process.  Returns
-        ``{ber: {"raw", "corrected", "codewords", "corrected_codewords",
-        "corrected_symbols", "uncorrectable_codewords",
-        "miscorrected_codewords"}}``.
+        or :class:`~repro.core.ecc.RsCodecModel`).  Each point scores a
+        fresh injector pair, serially, so the codec accounting stays
+        in-process and per point.  Returns ``{ber: {"raw", "corrected",
+        "codewords", "corrected_codewords", "corrected_symbols",
+        "uncorrectable_codewords", "miscorrected_codewords"}}``.
         """
         repeats = self.repeats if repeats is None else int(repeats)
         seed = self.seed if seed is None else int(seed)
@@ -214,22 +193,21 @@ class ExperimentRunner:
 
         counters = ("codewords", "corrected_codewords", "corrected_symbols",
                     "uncorrectable_codewords", "miscorrected_codewords")
-        raw_injector = BitErrorInjector(error_model, bits=bits, seed=seed)
-        ecc_injector = BitErrorInjector(error_model, bits=bits, seed=seed,
-                                        ecc=codec)
         results: Dict[float, Dict[str, float]] = {}
         for ber in bers:
             point_model = error_model.with_ber(ber)
-            raw_injector.set_error_model(point_model)
-            ecc_injector.set_error_model(point_model)
-            raw = self.session.score(raw_injector, repeats=repeats,
-                                     seed=seed, stride=stride)
-            before = {key: ecc_injector.ecc_stats[key] for key in counters}
-            corrected = self.session.score(ecc_injector, repeats=repeats,
-                                           seed=seed, stride=stride)
-            point = {"raw": raw, "corrected": corrected}
+            ecc_injector = BitErrorInjector(point_model, bits=bits, seed=seed,
+                                            ecc=codec)
+            point = {
+                "raw": self.session.evaluate(
+                    injector=BitErrorInjector(point_model, bits=bits, seed=seed),
+                    repeats=repeats, seed=seed, stride=stride),
+                "corrected": self.session.evaluate(
+                    injector=ecc_injector, repeats=repeats, seed=seed,
+                    stride=stride),
+            }
             for key in counters:
-                point[key] = int(ecc_injector.ecc_stats[key]) - int(before[key])
+                point[key] = int(ecc_injector.ecc_stats[key])
             results[float(ber)] = point
         return results
 
@@ -241,85 +219,23 @@ class ExperimentRunner:
                      ) -> Dict[DramOperatingPoint, float]:
         """Score with tensors read from ``device`` at each of ``op_points``.
 
-        One :class:`DeviceBackedInjector` (at ``bits``-bit precision, with
-        the optional ``corrector``, averaging ``repeats`` streams from
-        ``seed``) serves every point: tensor base addresses are assigned
-        once (deterministically, in load order), so the same weak cells
-        corrupt the same tensor elements at every operating point — matching
-        real-device behaviour and the fresh-injector-per-point results of
-        the historical loop.  With ``processes`` > 1 each point runs as its
-        own executor task with a fresh, identically-addressed injector —
-        bit-identical to the serial loop.  Returns an ``{op_point: score}``
+        Every point scores a fresh :class:`DeviceBackedInjector` (at
+        ``bits``-bit precision, with the optional ``corrector``, averaging
+        ``repeats`` streams from ``seed``).  Tensor base addresses are
+        assigned deterministically in load order, so the same weak cells
+        corrupt the same tensor elements at every operating point —
+        matching real-device behaviour.  Returns an ``{op_point: score}``
         dict.
         """
         seed = self.seed if seed is None else int(seed)
-        repeats = self.repeats if repeats is None else int(repeats)
 
-        if self.processes > 1 and len(op_points) > 1:
-            injectors = [
-                DeviceBackedInjector(device, op_point, bits=bits,
-                                     corrector=corrector, seed=seed)
-                for op_point in op_points
-            ]
-            scores = self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed,
-                stride=self.reseed_stride)
-            return {op: score for op, score in zip(op_points, scores)}
+        def make(op_point):
+            return DeviceBackedInjector(device, op_point, bits=bits,
+                                        corrector=corrector, seed=seed)
 
-        injector = DeviceBackedInjector(device, op_points[0] if op_points else
-                                        DramOperatingPoint.nominal(),
-                                        bits=bits, corrector=corrector, seed=seed)
-        results: Dict[DramOperatingPoint, float] = {}
-        for op_point in op_points:
-            injector.set_operating_point(op_point)
-            results[op_point] = self.score(injector, repeats=repeats, seed=seed)
-        return results
-
-    # -- per-tensor sweeps --------------------------------------------------------
-    def per_tensor_sweep(self, error_model: ErrorModel,
-                         assignments: Sequence[Dict[str, float]], *,
-                         bits: int = 32,
-                         corrector: Optional[Corrector] = None,
-                         repeats: Optional[int] = None,
-                         seed: Optional[int] = None,
-                         stride: Optional[int] = None,
-                         dataset: Optional[Dataset] = None) -> List[float]:
-        """Score a list of per-tensor BER ``assignments`` (fine-grained axis).
-
-        Each assignment maps tensor names to the BER their DRAM partition
-        would exhibit (the fine-grained mapping vocabulary); every one is
-        scored with ``error_model`` rescaled per tensor, at ``bits``-bit
-        precision through the optional ``corrector``, averaging ``repeats``
-        streams from ``seed`` spaced by ``stride`` on ``dataset`` (the
-        runner's own by default).  Assignments are independent, so with
-        ``processes`` > 1 they fan out over the executor — bit-identical to
-        the serial loop, which reuses one injector and swaps the assignment
-        per point.  Returns the scores in assignment order.
-        """
-        repeats = self.repeats if repeats is None else int(repeats)
-        seed = self.seed if seed is None else int(seed)
-        stride = self.reseed_stride if stride is None else int(stride)
-
-        if self.processes > 1 and len(assignments) > 1:
-            injectors = [
-                BitErrorInjector(error_model, bits=bits,
-                                 per_tensor_ber=assignment,
-                                 corrector=corrector, seed=seed)
-                for assignment in assignments
-            ]
-            return self._sweep_executor().score_many(
-                injectors, repeats=repeats, seed=seed, stride=stride,
-                dataset=self._executor_dataset(dataset))
-
-        injector = BitErrorInjector(error_model, bits=bits,
-                                    corrector=corrector, seed=seed)
-        scores: List[float] = []
-        for assignment in assignments:
-            injector.set_per_tensor_ber(assignment)
-            scores.append(self.session.score(injector, repeats=repeats,
-                                             seed=seed, stride=stride,
-                                             dataset=dataset))
-        return scores
+        scores = self._score_points(op_points, make, repeats=repeats,
+                                    seed=seed, stride=None)
+        return dict(zip(op_points, scores))
 
     # -- executor plumbing --------------------------------------------------------
     def _executor_dataset(self, dataset):

@@ -15,8 +15,7 @@ from repro.core.correction import ThresholdStore
 from repro.core.offload import reductions_for_ber
 from repro.dram.device import ApproximateDram
 from repro.dram.error_models import make_error_model
-from repro.engine import ReadSemantics
-from repro.engine import evaluate as engine_evaluate
+from repro.engine import InferenceSession
 from repro.nn.models import MODEL_SPECS, build_model_with_dataset, get_spec
 from repro.nn.quantization import QuantizedLoadTransform
 from repro.nn.training import Trainer
@@ -62,13 +61,13 @@ def table2_baseline_accuracy(models: Optional[Sequence[str]] = None,
             if bits == 16 and not spec.supports_int16:
                 row[f"int{bits}"] = None
                 continue
-            # Quantization is deterministic, so static-store semantics (the
-            # weights fake-quantized once, not per batch) is bit-identical to
-            # the historical per-load transform — just cheaper.
+            # Quantization is deterministic, so the session's default
+            # static-store semantics (the weights fake-quantized once, not per
+            # batch) is bit-identical to the historical per-load transform —
+            # just cheaper.
             transform = None if bits == 32 else QuantizedLoadTransform(bits)
-            score = engine_evaluate(network, dataset, transform,
-                                    metric=spec.metric,
-                                    semantics=ReadSemantics.STATIC_STORE)
+            score = InferenceSession(network, dataset, injector=transform,
+                                     metric=spec.metric).evaluate()
             key = "fp32" if bits == 32 else f"int{bits}"
             row[key] = score
         rows.append(row)

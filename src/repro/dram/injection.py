@@ -269,9 +269,6 @@ class DeviceBackedInjector:
         self._next_bit = bank * device.geometry.bank_size_bytes * 8
         self.stats = _new_stats()
 
-    def set_operating_point(self, op_point: DramOperatingPoint) -> None:
-        self.op_point = op_point
-
     def reseed(self, seed: int) -> None:
         """Restart the injection RNG stream (per-repeat determinism)."""
         self._rng = np.random.default_rng(seed)

@@ -15,11 +15,10 @@ from repro.engine.session import (
     DeadlineExceeded,
     InferenceSession,
     ReadSemantics,
-    evaluate,
     injector_fingerprint,
 )
 from repro.nn.quantization import ExecutionMode
 
 __all__ = ["DeadlineExceeded", "ExecutionMode", "InferenceSession",
            "QuantizedPlan", "ReadSemantics", "compile_quantized_plan",
-           "evaluate", "injector_fingerprint", "integer_plan_supported"]
+           "injector_fingerprint", "integer_plan_supported"]

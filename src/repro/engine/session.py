@@ -119,19 +119,23 @@ class _StaticStoreReader:
         return self.inner.apply(array, spec)
 
 
-def _injector_fingerprint(injector) -> tuple:
-    """Description of the operating point an injector exposes.
+def injector_fingerprint(injector) -> tuple:
+    """Hashable description of the operating point ``injector`` exposes.
 
-    Error models are immutable (rescaling goes through ``with_ber``, which
-    returns a new instance), so identity of the model object — plus the
-    per-tensor BER assignment, the DRAM device/operating point/layout and
-    the precision — pins down exactly which corrupted store a configuration
-    produces.  Objects without value equality (models, correctors, devices)
-    are embedded *by reference*: tuple comparison falls back to identity,
-    and keeping the tuple as the store key keeps the objects alive, so a
-    garbage-collected-and-reallocated object can never alias a cached key.
-    Unknown injector types are embedded whole, which can only cause extra
-    re-materialization, never a stale store.
+    Two injectors with equal fingerprints produce the same materialized
+    weight store for the same seed; the fingerprint is therefore the cache
+    key used both by :class:`InferenceSession`'s store invalidation and by
+    :class:`repro.serve.SessionRegistry`.  Error models are immutable
+    (rescaling goes through ``with_ber``, which returns a new instance), so
+    identity of the model object — plus the per-tensor BER assignment, the
+    DRAM device/operating point/layout and the precision — pins down exactly
+    which corrupted store a configuration produces.  Objects without value
+    equality (models, correctors, devices) are embedded *by reference*:
+    tuple comparison falls back to identity, and keeping the tuple as the
+    store key keeps the objects alive, so a garbage-collected-and-reallocated
+    object can never alias a cached key.  Unknown injector types are
+    embedded whole, which can only cause extra re-materialization, never a
+    stale store.  Returns a hashable tuple.
     """
     if injector is None:
         return (None,)
@@ -155,24 +159,11 @@ def _injector_fingerprint(injector) -> tuple:
         parts.append(corrector)
     inner = getattr(injector, "inner", None)
     if inner is not None:
-        parts.append(_injector_fingerprint(inner))
+        parts.append(injector_fingerprint(inner))
     if not hasattr(injector, "error_model") and not hasattr(injector, "op_point") \
             and not hasattr(injector, "inner"):
         parts.append(injector)
     return tuple(parts)
-
-
-def injector_fingerprint(injector) -> tuple:
-    """Hashable description of the operating point ``injector`` exposes.
-
-    Two injectors with equal fingerprints produce the same materialized
-    weight store for the same seed; the fingerprint is therefore the cache
-    key used both by :class:`InferenceSession`'s store invalidation and by
-    :class:`repro.serve.SessionRegistry`.  See :func:`_injector_fingerprint`
-    for the exact embedding rules (objects without value equality are
-    compared by identity).  Returns a hashable tuple.
-    """
-    return _injector_fingerprint(injector)
 
 
 def _resolve_codec(correction):
@@ -270,7 +261,7 @@ class InferenceSession:
         self._baseline: Optional[float] = None
         self._store: Optional[Dict[str, np.ndarray]] = None
         #: fingerprint the store was materialized for; holds references to
-        #: the identity-compared objects inside it (see _injector_fingerprint).
+        #: the identity-compared objects inside it (see injector_fingerprint).
         self._store_key = None
         self._weight_spec_cache: Optional[List[TensorSpec]] = None
         #: cached shared-memory export of the compiled plan (see export_plan);
@@ -328,10 +319,6 @@ class InferenceSession:
         self.injector = injector
         self.invalidate()
 
-    def set_semantics(self, semantics: ReadSemantics) -> None:
-        """Switch the session's default read ``semantics`` for later calls."""
-        self.semantics = semantics
-
     def invalidate(self) -> None:
         """Drop the materialized store and the recorded weight-spec scan.
 
@@ -385,7 +372,7 @@ class InferenceSession:
         """
         injector = self.injector if injector is _UNSET else injector
         seed = self.seed if seed is None else int(seed)
-        key = (_injector_fingerprint(injector), seed)
+        key = (injector_fingerprint(injector), seed)
         if self._store is not None and self._store_key == key:
             return self._store
         store: Dict[str, np.ndarray] = {}
@@ -446,7 +433,7 @@ class InferenceSession:
             # pure waste; static-store sessions materialize here so the
             # config below reflects the store actually exported.
             self.materialize()
-        config = (_injector_fingerprint(self.injector), self.seed,
+        config = (injector_fingerprint(self.injector), self.seed,
                   self.semantics, bool(include_injector))
         if self._exported is not None and self._exported_config == config:
             return self._exported
@@ -457,8 +444,8 @@ class InferenceSession:
         return self._exported
 
     # -- integer execution --------------------------------------------------------
-    def _integer_mode_active(self, injector, semantics) -> bool:
-        """Whether a call with this ``injector``/``semantics`` runs fused.
+    def _integer_mode_active(self, injector) -> bool:
+        """Whether a call with this ``injector`` runs fused.
 
         Raises ``ValueError`` when the mode is an explicit ``INTEGER`` but
         the configuration cannot support it (wrong injector type or
@@ -471,7 +458,7 @@ class InferenceSession:
             return False
         from repro.engine.quantized import integer_plan_supported
 
-        supported = (semantics is ReadSemantics.STATIC_STORE
+        supported = (self.semantics is ReadSemantics.STATIC_STORE
                      and integer_plan_supported(injector))
         if self.execution_mode is ExecutionMode.INTEGER and not supported:
             raise ValueError(
@@ -484,7 +471,7 @@ class InferenceSession:
         """The compiled (or adopted) integer plan for this operating point."""
         if self._adopted_qplan is not None:
             return self._adopted_qplan
-        key = (_injector_fingerprint(injector), int(seed))
+        key = (injector_fingerprint(injector), int(seed))
         plan = self._qplans.get(key)
         if plan is None:
             from repro.engine.quantized import compile_quantized_plan
@@ -513,7 +500,7 @@ class InferenceSession:
         if self._adopted_qplan is not None:
             return f"int{self._adopted_qplan.bits}"
         try:
-            active = self._integer_mode_active(self.injector, self.semantics)
+            active = self._integer_mode_active(self.injector)
         except ValueError:
             active = False
         return f"int{self.injector.bits}" if active else "fp32"
@@ -571,14 +558,14 @@ class InferenceSession:
         return self._baseline
 
     def evaluate(self, dataset=None, metric: Optional[str] = None, *,
-                 injector=_UNSET, semantics: Optional[ReadSemantics] = None,
-                 repeats: Optional[int] = None, seed: Optional[int] = None,
+                 injector=_UNSET, repeats: Optional[int] = None,
+                 seed: Optional[int] = None,
                  stride: Optional[int] = None) -> float:
         """Mean validation score under the session's injection setup.
 
         Every argument defaults to the session's own setting: ``dataset``
-        and ``metric`` select what is scored, ``injector``/``semantics``
-        override the injection setup, and ``repeats``/``seed``/``stride``
+        and ``metric`` select what is scored, ``injector`` overrides the
+        injection setup, and ``repeats``/``seed``/``stride``
         drive the repeat-averaging loop.  The injector's stream is
         restarted at ``seed + repeat * stride`` before each repeat (matching
         every historical call site); in static-store mode the reseed only
@@ -587,7 +574,6 @@ class InferenceSession:
         score averaged over repeats.
         """
         injector = self.injector if injector is _UNSET else injector
-        semantics = self.semantics if semantics is None else semantics
         repeats = self.repeats if repeats is None else int(repeats)
         seed = self.seed if seed is None else int(seed)
         stride = self.reseed_stride if stride is None else int(stride)
@@ -595,28 +581,16 @@ class InferenceSession:
         inputs, labels = _resolve_arrays(dataset if dataset is not None
                                          else self.dataset)
 
-        if self._integer_mode_active(injector, semantics):
+        if self._integer_mode_active(injector):
             return self._evaluate_integer(injector, inputs, labels, metric,
                                           repeats, seed)
 
         store: Optional[Dict[str, np.ndarray]] = None
-        if injector is not None and semantics is ReadSemantics.STATIC_STORE:
+        if injector is not None and self.semantics is ReadSemantics.STATIC_STORE:
             store = self.materialize(injector, seed=seed)
 
         return self._evaluate_serial(self.network, injector, store, inputs,
                                      labels, metric, repeats, seed, stride)
-
-    #: alias matching the historical ExperimentRunner vocabulary.
-    def score(self, injector, *, repeats: Optional[int] = None,
-              seed: Optional[int] = None, stride: Optional[int] = None,
-              dataset=None, semantics: Optional[ReadSemantics] = None) -> float:
-        """Evaluate with an explicit ``injector`` (the runner's vocabulary).
-
-        ``repeats``/``seed``/``stride``/``dataset``/``semantics`` forward to
-        :meth:`evaluate`.  Returns the mean score.
-        """
-        return self.evaluate(dataset, injector=injector, semantics=semantics,
-                             repeats=repeats, seed=seed, stride=stride)
 
     # -- serving ------------------------------------------------------------------
     def predict(self, inputs: np.ndarray, *, pad_to: Optional[int] = None,
@@ -675,7 +649,7 @@ class InferenceSession:
         seed = self.seed if seed is None else int(seed)
         injector = self.injector
 
-        if self._integer_mode_active(injector, self.semantics):
+        if self._integer_mode_active(injector):
             if ifm_errors:
                 raise ValueError(
                     "integer execution serves IFMs from reliable DRAM; use "
@@ -789,29 +763,3 @@ class InferenceSession:
 #: value would make stored-weight and IFM error positions perfectly
 #: correlated instead of independent draws.
 _MATERIALIZE_SEED_SALT = 0x5EED5EED
-
-
-def evaluate(network: Network, dataset, injector=None, *,
-             metric: str = "accuracy",
-             semantics: ReadSemantics = ReadSemantics.PER_READ,
-             repeats: int = 1, seed: int = 0, reseed_stride: int = 1,
-             batch_size: int = 64) -> float:
-    """One-shot scoring helper: the shared install/reseed/evaluate/restore loop.
-
-    This is the single copy of the loop that used to be duplicated across the
-    sweep, characterization, retraining and table modules: score ``network``
-    on ``dataset`` with ``injector`` installed, at ``batch_size``, averaging
-    ``repeats`` streams reseeded at ``seed + repeat * reseed_stride``, under
-    the named ``metric``.  ``semantics`` defaults to
-    :attr:`ReadSemantics.PER_READ` so existing call sites keep their
-    historical (bit-exact) results; pass
-    :attr:`ReadSemantics.STATIC_STORE` for paper-faithful stored-weight
-    behavior.  Callers that score repeatedly should hold an
-    :class:`InferenceSession`, which caches the materialized store and the
-    weight-spec scan across calls.  Returns the mean validation score.
-    """
-    session = InferenceSession(network, dataset, injector=injector,
-                               semantics=semantics, metric=metric,
-                               batch_size=batch_size, seed=seed,
-                               repeats=repeats, reseed_stride=reseed_stride)
-    return session.evaluate()

@@ -109,8 +109,7 @@ class PlanDispatcher:
 
         self.pad_to = pad_to
         self.ifm_errors = ifm_errors
-        if ifm_errors and session._integer_mode_active(session.injector,
-                                                       session.semantics):
+        if ifm_errors and session._integer_mode_active(session.injector):
             raise ValueError(
                 "ifm_errors dispatch needs the FP32 path; integer-mode "
                 "sessions serve IFMs from reliable DRAM")

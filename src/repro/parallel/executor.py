@@ -11,8 +11,7 @@ Every experiment family routes its independent units through the same two
 calls:
 
 * :meth:`SweepExecutor.score_many` — one task per sweep point (BER grids,
-  device operating points, per-tensor BER assignments, speculative
-  characterization grids).  Each point is independently seeded, so parallel
+  device operating points, speculative characterization grids).  Each point is independently seeded, so parallel
   results are bit-identical to the serial loop.
 * :meth:`SweepExecutor.score_repeats` — one task per *repeat* of a single
   point.  The serial repeat loop restarts the stream at ``seed + repeat *
@@ -53,9 +52,9 @@ def _init_worker(handle: PlanHandle, metric: str, semantics: ReadSemantics,
 
 def _score_task(injector, repeats: int, seed: int, stride: int,
                 dataset) -> float:
-    return _WORKER_STATE["session"].score(injector, repeats=repeats,
-                                          seed=seed, stride=stride,
-                                          dataset=dataset)
+    return _WORKER_STATE["session"].evaluate(dataset, injector=injector,
+                                             repeats=repeats, seed=seed,
+                                             stride=stride)
 
 
 class SweepExecutor:
@@ -114,11 +113,10 @@ class SweepExecutor:
                      stride: int = 1, dataset=None):
         """Submit one scoring task; returns its ``Future[float]``.
 
-        ``injector`` is pickled into the task (fresh per point, matching the
-        serial convention that reusing one injector with a stream restart is
-        stream-identical to a fresh one); ``repeats``/``seed``/``stride``
+        ``injector`` is pickled into the task (fresh per point, like the
+        serial sweep loop); ``repeats``/``seed``/``stride``
         drive the repeat loop exactly like
-        :meth:`repro.engine.session.InferenceSession.score`; ``dataset``
+        :meth:`repro.engine.session.InferenceSession.evaluate`; ``dataset``
         optionally ships an ``(inputs, labels)`` pair for ad-hoc evaluation
         sets (None evaluates the plan's own dataset).
         """

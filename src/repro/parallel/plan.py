@@ -290,8 +290,7 @@ def export_session_plan(session, *, include_injector: bool = False
         store_handle = None
         store_key = None
         qplan_bytes = None
-        integer_mode = session._integer_mode_active(session.injector,
-                                                    session.semantics)
+        integer_mode = session._integer_mode_active(session.injector)
         if integer_mode:
             # Zero-copy quantized lane: ship the recovered code arrays (int8/
             # int16) and the non-GEMM float store — the corrupted float store

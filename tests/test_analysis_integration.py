@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_multi_series, format_series, format_table
-from repro.analysis.sweep import accuracy_on_device, ber_sweep, trcd_sweep, voltage_sweep_points
+from repro.analysis.runner import ExperimentRunner
+from repro.analysis.sweep import trcd_sweep, voltage_sweep_points
 from repro.analysis.tables import (
     PAPER_TABLE3_FP32,
     PAPER_TABLE3_INT8,
@@ -40,8 +41,9 @@ class TestSweeps:
         network, dataset, _ = lenet_trained
         model = make_error_model(0, 1e-3, seed=0)
         thresholds = ThresholdStore.from_network(network, dataset.train_x)
-        sweep = ber_sweep(network, dataset, model, [1e-4, 1e-2, 2e-1],
-                          corrector=ImplausibleValueCorrector(thresholds), seed=0)
+        sweep = ExperimentRunner(network, dataset, seed=0).ber_sweep(
+            model, [1e-4, 1e-2, 2e-1],
+            corrector=ImplausibleValueCorrector(thresholds))
         assert sweep[1e-4] > sweep[2e-1]
         assert sweep[1e-4] > 0.9
 
@@ -56,8 +58,8 @@ class TestSweeps:
         thresholds = ThresholdStore.from_network(network, dataset.train_x)
         corrector = ImplausibleValueCorrector(thresholds)
         points = voltage_sweep_points(device_vendor_a, [1.35, 1.02])
-        curve = accuracy_on_device(network, dataset, device_vendor_a, points,
-                                   corrector=corrector, seed=0)
+        curve = ExperimentRunner(network, dataset, seed=0).device_sweep(
+            device_vendor_a, points, corrector=corrector)
         accuracies = [curve[p] for p in points]
         assert accuracies[0] > accuracies[1] + 0.1
         assert network.fault_injector is None
@@ -104,8 +106,8 @@ class TestEndToEndIntegration:
             delta_vdd=result.delta_vdd, delta_trcd_ns=result.delta_trcd_ns)
         thresholds = ThresholdStore.from_network(result.network, dataset.train_x)
         corrector = ImplausibleValueCorrector(thresholds)
-        curve = accuracy_on_device(result.network, dataset, device_vendor_a,
-                                   [chosen_op], corrector=corrector, seed=0)
+        curve = ExperimentRunner(result.network, dataset, seed=0).device_sweep(
+            device_vendor_a, [chosen_op], corrector=corrector)
         accuracy_at_chosen = list(curve.values())[0]
         baseline = evaluate(result.network, dataset.val_x, dataset.val_y)
         assert accuracy_at_chosen >= baseline - 0.05

@@ -1,13 +1,17 @@
-"""Documentation integrity: internal links in README.md and docs/ resolve.
+"""Documentation integrity: links and code references in README.md and docs/.
 
 Every relative markdown link must point at a file that exists, and every
 ``#anchor`` fragment must match a heading in the target file (GitHub slug
 rules: lowercase, punctuation stripped, spaces to hyphens).  External
-(``http``/``https``) links are out of scope — CI has no network.
+(``http``/``https``) links are out of scope — CI has no network.  Every
+code span naming a ``repro.``-dotted object (optionally ``module:attr``)
+must import and resolve, so a renamed or deleted API cannot linger in the
+docs.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import re
 from pathlib import Path
 from typing import List, Tuple
@@ -22,6 +26,9 @@ DOC_FILES = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _CODE_SPAN = re.compile(r"`[^`]*`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: a code span that starts with a dotted ``repro`` name, e.g.
+#: `repro.engine.InferenceSession` or `repro.engine.bench:ecc_benchmark`.
+_REPRO_NAME = re.compile(r"`(repro(?:\.\w+)+(?::\w+)?)")
 
 
 def github_slug(heading: str) -> str:
@@ -84,3 +91,18 @@ def test_internal_link_resolves(doc, target):
 def test_every_doc_has_links_scanned():
     """Sanity: the scanner actually finds links (regex rot guard)."""
     assert len(_internal_links()) >= 8
+
+
+def _repro_names() -> List[str]:
+    return sorted({name for doc in DOC_FILES
+                   for name in _REPRO_NAME.findall(doc.read_text())})
+
+
+@pytest.mark.parametrize("name", _repro_names())
+def test_repro_reference_resolves(name):
+    pkgutil.resolve_name(name)   # raises ImportError/AttributeError if stale
+
+
+def test_repro_references_scanned():
+    """Sanity: the scanner finds the API references (regex rot guard)."""
+    assert len(_repro_names()) >= 30

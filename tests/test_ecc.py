@@ -382,6 +382,23 @@ class TestCorrectionInTheLoop:
                 return runner.ecc_sweep(model, [1e-3])
         assert run() == run()
 
+    def test_ecc_sweep_points_isolated(self, lenet_trained):
+        """Each point's scores and decode counts are its own: a two-point
+        sweep equals the one-point sweep at each of its BERs."""
+        network, dataset, spec = lenet_trained
+        model = make_error_model(4, 1e-3, seed=0)
+        bers = [1e-3, 3e-2]
+
+        def run(points):
+            with ExperimentRunner(network.clone(), dataset,
+                                  metric=spec.metric, seed=0,
+                                  semantics=ReadSemantics.STATIC_STORE
+                                  ) as runner:
+                return runner.ecc_sweep(model, points)
+        both = run(bers)
+        for ber in bers:
+            assert both[ber] == run([ber])[ber]
+
     def test_plan_dispatcher_matches_corrected_session_predict(
             self, lenet_clone):
         # Cross-process parity, mirroring test_parallel.py: the exported

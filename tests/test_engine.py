@@ -15,7 +15,6 @@ from repro.analysis.runner import ExperimentRunner
 from repro.dram.error_models import make_error_model
 from repro.dram.injection import BitErrorInjector
 from repro.engine import InferenceSession, ReadSemantics
-from repro.engine import evaluate as engine_evaluate
 from repro.nn.metrics import evaluate as metric_evaluate
 from repro.nn.quantization import QuantizedLoadTransform
 from repro.nn.tensor import DataKind, TensorSpec
@@ -81,9 +80,10 @@ class TestPerReadParity:
         model = make_error_model(1, 1e-3, seed=0)
         runner = ExperimentRunner(network, dataset, seed=2, repeats=2)
         via_runner = runner.score(BitErrorInjector(model, seed=2))
-        via_helper = engine_evaluate(network, dataset,
-                                     BitErrorInjector(model, seed=2),
-                                     repeats=2, seed=2)
+        via_helper = InferenceSession(network, dataset,
+                                      injector=BitErrorInjector(model, seed=2),
+                                      semantics=ReadSemantics.PER_READ,
+                                      repeats=2, seed=2).evaluate()
         assert via_runner == via_helper
 
     def test_previous_injector_restored(self, lenet_clone):
@@ -216,10 +216,12 @@ class TestStaticStore:
         # Fake quantization is deterministic, so serving the quantized weights
         # from the store must be bit-identical to re-quantizing every load.
         network, dataset, _ = lenet_clone
-        static = engine_evaluate(network, dataset, QuantizedLoadTransform(8),
-                                 semantics=ReadSemantics.STATIC_STORE)
-        per_read = engine_evaluate(network, dataset, QuantizedLoadTransform(8),
-                                   semantics=ReadSemantics.PER_READ)
+        static = InferenceSession(network, dataset,
+                                  injector=QuantizedLoadTransform(8),
+                                  semantics=ReadSemantics.STATIC_STORE).evaluate()
+        per_read = InferenceSession(network, dataset,
+                                    injector=QuantizedLoadTransform(8),
+                                    semantics=ReadSemantics.PER_READ).evaluate()
         assert static == per_read
 
     def test_static_store_faster_in_injector_work(self, lenet_clone):
@@ -254,39 +256,23 @@ class TestWeightOnlyInjection:
         np.testing.assert_array_equal(untouched, values)
 
 
-class TestSweepSemanticsPlumbing:
-    def test_ber_sweep_accepts_semantics(self, lenet_clone):
-        from repro.analysis.sweep import ber_sweep
-
-        network, dataset, _ = lenet_clone
-        model = make_error_model(0, 1e-3, seed=0)
-        static = ber_sweep(network, dataset, model, (5e-2,), seed=0,
-                           semantics=ReadSemantics.STATIC_STORE)
-        per_read = ber_sweep(network, dataset, model, (5e-2,), seed=0)
-        assert set(static) == set(per_read)
-        assert all(0.0 <= v <= 1.0 for v in static.values())
-
-    def test_accuracy_on_device_accepts_semantics(self, lenet_clone, device_vendor_a):
-        from repro.analysis.sweep import accuracy_on_device, voltage_sweep_points
-
-        network, dataset, _ = lenet_clone
-        ops = voltage_sweep_points(device_vendor_a, [1.10])
-        curve = accuracy_on_device(network, dataset, device_vendor_a, ops,
-                                   semantics=ReadSemantics.STATIC_STORE)
-        assert all(0.0 <= v <= 1.0 for v in curve.values())
-
-
 class TestParallelSweepSemantics:
-    def test_parallel_static_store_sweep_equals_serial(self, lenet_clone):
+    def test_parallel_static_store_sweep_equals_serial(self, lenet_clone,
+                                                       device_vendor_a):
+        from repro.analysis.sweep import voltage_sweep_points
+
         network, dataset, _ = lenet_clone
         model = make_error_model(0, 1e-3, seed=0)
         bers = (1e-4, 1e-3, 1e-2)
+        ops = voltage_sweep_points(device_vendor_a, [1.10, 1.20])
         serial = ExperimentRunner(network, dataset, seed=1,
                                   semantics=ReadSemantics.STATIC_STORE)
         with ExperimentRunner(network, dataset, seed=1, processes=2,
                               semantics=ReadSemantics.STATIC_STORE) as parallel:
             # Workers must inherit the runner's read semantics.
             assert serial.ber_sweep(model, bers) == parallel.ber_sweep(model, bers)
+            assert serial.device_sweep(device_vendor_a, ops) == \
+                parallel.device_sweep(device_vendor_a, ops)
 
 
 class TestSessionConstructors:

@@ -1,18 +1,17 @@
-"""The unified ExperimentRunner must reproduce the historical sweep loops.
+"""The ExperimentRunner sweeps must reproduce the reference sweep loops.
 
-``ber_sweep``, ``accuracy_on_device``, the characterization scoring and the
-retraining evaluation all used to carry private copies of the
-install/reseed/evaluate/restore loop with fresh injectors per point.  The
-runner reuses one injector per sweep, memoizes baselines and can fan points
-out over processes — these tests pin down that none of that changes a single
-result.
+The reference loops below install a fresh injector per point (and per
+repeat) and evaluate the network directly.  The runner scores a fresh
+injector per point through the engine session, memoizes baselines and can
+fan points out over processes — these tests pin down that none of that
+changes a single result.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.analysis.sweep import accuracy_on_device, ber_sweep, voltage_sweep_points
+from repro.analysis.sweep import voltage_sweep_points
 from repro.dram.device import ApproximateDram, DramOperatingPoint
 from repro.dram.error_models import make_error_model
 from repro.dram.injection import BitErrorInjector, DeviceBackedInjector
@@ -67,21 +66,24 @@ class TestBerSweepParity:
         network, dataset, _ = lenet_clone
         model = make_error_model(0, 1e-3, seed=0)
         legacy = _legacy_ber_sweep(network, dataset, model, BERS, repeats=2, seed=3)
-        current = ber_sweep(network, dataset, model, BERS, repeats=2, seed=3)
+        current = ExperimentRunner(network, dataset, repeats=2,
+                                   seed=3).ber_sweep(model, BERS)
         assert legacy == current
 
     def test_matches_legacy_loop_int8(self, lenet_clone):
         network, dataset, _ = lenet_clone
         model = make_error_model(3, 1e-3, seed=1)
         legacy = _legacy_ber_sweep(network, dataset, model, BERS, bits=8, seed=0)
-        current = ber_sweep(network, dataset, model, BERS, bits=8, seed=0)
+        current = ExperimentRunner(network, dataset, seed=0).ber_sweep(
+            model, BERS, bits=8)
         assert legacy == current
 
     def test_previous_injector_restored(self, lenet_clone):
         network, dataset, _ = lenet_clone
         sentinel = BitErrorInjector(make_error_model(0, 0.0, seed=0))
         network.set_fault_injector(sentinel)
-        ber_sweep(network, dataset, make_error_model(0, 1e-3, seed=0), BERS[:1])
+        ExperimentRunner(network, dataset).ber_sweep(
+            make_error_model(0, 1e-3, seed=0), BERS[:1])
         assert network.fault_injector is sentinel
 
 
@@ -91,7 +93,8 @@ class TestDeviceSweepParity:
         device = ApproximateDram("A", geometry=TEST_GEOMETRY, seed=1)
         op_points = voltage_sweep_points(device, [1.10, 1.20, 1.30])
         legacy = _legacy_device_sweep(network, dataset, device, op_points, seed=2)
-        current = accuracy_on_device(network, dataset, device, op_points, seed=2)
+        current = ExperimentRunner(network, dataset, seed=2).device_sweep(
+            device, op_points)
         assert legacy == current
 
 
@@ -142,8 +145,10 @@ class TestProcessParallelism:
     def test_parallel_equals_serial(self, lenet_clone):
         network, dataset, _ = lenet_clone
         model = make_error_model(0, 1e-3, seed=0)
-        serial = ber_sweep(network, dataset, model, BERS, seed=1)
-        parallel = ber_sweep(network, dataset, model, BERS, seed=1, processes=2)
+        serial = ExperimentRunner(network, dataset, seed=1).ber_sweep(model, BERS)
+        with ExperimentRunner(network, dataset, seed=1,
+                              processes=2) as runner:
+            parallel = runner.ber_sweep(model, BERS)
         assert serial == parallel
 
 

@@ -153,26 +153,6 @@ class TestPositionCache:
         np.testing.assert_array_equal(corrupted_zeros, zeros)
 
 
-class TestLegacySubclassFallback:
-    def test_subclass_without_packed_candidates_still_injects(self):
-        from repro.dram.error_models import UniformErrorModel
-
-        class LegacyModel(UniformErrorModel):
-            """Implements only the original contract (flip_probabilities)."""
-
-            def _packed_candidates(self, num_bits, layout, bit_at):
-                raise NotImplementedError
-
-        values = np.random.default_rng(0).standard_normal(801).astype(np.float32)
-        legacy = LegacyModel(0.02, 0.5, seed=3)
-        modern = UniformErrorModel(0.02, 0.5, seed=3)
-        out_legacy = inject_bit_errors(values, 32, legacy, DramLayout(),
-                                       np.random.default_rng(7))
-        out_modern = inject_bit_errors(values, 32, modern, DramLayout(),
-                                       np.random.default_rng(7))
-        np.testing.assert_array_equal(out_legacy, out_modern)
-
-
 class TestUniformThreshold:
     @given(
         fraction=st.floats(min_value=0.0, max_value=1.0),

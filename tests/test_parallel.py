@@ -1,10 +1,10 @@
 """Shared-memory parallel executor: parallel results must equal serial ones.
 
 The contract of :mod:`repro.parallel` is *bit-identity*: every sweep family
-(BER grids, device operating points, per-tensor assignments, repeat
-averaging, the coarse characterization search) and multi-process serving
-dispatch must produce exactly the serial results — the executor only changes
-where the work runs, never which streams are drawn.  These tests pin that,
+(BER grids, device operating points, repeat averaging, the coarse
+characterization search) and multi-process serving dispatch must produce
+exactly the serial results — the executor only changes where the work runs,
+never which streams are drawn.  These tests pin that,
 plus the shared-memory plumbing itself (zero-copy round trips, skeleton
 stripping leaving the live network untouched, fingerprint-keyed re-export).
 """
@@ -112,8 +112,8 @@ class TestSweepExecutorParity:
         model = make_error_model(0, 1e-3, seed=0)
         session = InferenceSession(network, dataset, metric=spec.metric,
                                    semantics=ReadSemantics.PER_READ)
-        serial = session.score(BitErrorInjector(model, seed=3), repeats=2,
-                               seed=3, stride=101)
+        serial = session.evaluate(injector=BitErrorInjector(model, seed=3),
+                                  repeats=2, seed=3, stride=101)
         with SweepExecutor(network, dataset, metric=spec.metric,
                            semantics=ReadSemantics.PER_READ,
                            processes=2) as executor:
@@ -128,8 +128,8 @@ class TestSweepExecutorParity:
         model = make_error_model(0, 1e-3, seed=0)
         session = InferenceSession(network, dataset, metric=spec.metric,
                                    semantics=ReadSemantics.STATIC_STORE)
-        serial = session.score(BitErrorInjector(model, seed=1), repeats=2,
-                               seed=1, stride=1)
+        serial = session.evaluate(injector=BitErrorInjector(model, seed=1),
+                                  repeats=2, seed=1, stride=1)
         with SweepExecutor(network, dataset, metric=spec.metric,
                            semantics=ReadSemantics.STATIC_STORE,
                            processes=2) as executor:
@@ -153,22 +153,6 @@ class TestRunnerParallelism:
         with ExperimentRunner(network, dataset, seed=2,
                               processes=2) as runner:
             parallel = runner.device_sweep(device, op_points)
-        assert serial == parallel
-
-    def test_per_tensor_sweep_parallel_equals_serial(self, lenet_clone):
-        network, dataset, _ = lenet_clone
-        model = make_error_model(0, 1e-3, seed=0)
-        names = [spec.name for spec in network.weight_specs()][:2]
-        assignments = [
-            {names[0]: 1e-2, names[1]: 1e-4},
-            {names[0]: 1e-4, names[1]: 1e-2},
-            {names[0]: 5e-3, names[1]: 5e-3},
-        ]
-        with ExperimentRunner(network, dataset, seed=1) as runner:
-            serial = runner.per_tensor_sweep(model, assignments)
-        with ExperimentRunner(network, dataset, seed=1,
-                              processes=2) as runner:
-            parallel = runner.per_tensor_sweep(model, assignments)
         assert serial == parallel
 
     def test_score_repeat_fanout_equals_serial(self, lenet_clone):
