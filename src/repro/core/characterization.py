@@ -110,16 +110,6 @@ def _validated_runner(runner: Optional[ExperimentRunner], network: Network,
     return runner
 
 
-def _scored_injector(error_model: ErrorModel, config: EdenConfig,
-                     corrector: ImplausibleValueCorrector,
-                     per_tensor_ber: Optional[Dict[str, float]] = None,
-                     seed_offset: int = 0) -> BitErrorInjector:
-    return BitErrorInjector(
-        error_model, bits=config.bits, per_tensor_ber=per_tensor_ber,
-        corrector=corrector, seed=config.seed + seed_offset,
-    )
-
-
 def coarse_grained_characterization(network: Network, dataset: Dataset,
                                     error_model: ErrorModel,
                                     target: AccuracyTarget,
@@ -169,19 +159,17 @@ def coarse_grained_characterization(network: Network, dataset: Dataset,
             corrector=corrector, repeats=config.evaluation_repeats,
             seed=config.seed, stride=_CHARACTERIZATION_RESEED_STRIDE)
 
-    # One injector serves the whole search; per candidate BER only the model
-    # is swapped and the stream restarted (stream-identical to a fresh one).
+    # A probe scores the one-point sweep the prefetch would have run.
     # Seed/repeat/stride are passed explicitly so any caller-supplied runner
     # still follows the characterization's historical seeding convention.
-    injector = _scored_injector(error_model, config, corrector)
-
     def score_at(ber: float) -> float:
         score = prefetched.get(float(ber))
         if score is None:
-            injector.set_error_model(error_model.with_ber(ber))
-            score = runner.score(injector, repeats=config.evaluation_repeats,
-                                 seed=config.seed,
-                                 stride=_CHARACTERIZATION_RESEED_STRIDE)
+            score = runner.ber_sweep(
+                error_model, [float(ber)], bits=config.bits,
+                corrector=corrector, repeats=config.evaluation_repeats,
+                seed=config.seed,
+                stride=_CHARACTERIZATION_RESEED_STRIDE)[float(ber)]
         tested[float(ber)] = score
         return score
 
@@ -257,7 +245,8 @@ def fine_grained_characterization(network: Network, dataset: Dataset,
     # statistical slack so a single unlucky injection does not freeze the sweep.
     floor = target.threshold(baseline_score) - 1.0 / max(len(eval_dataset.val_y), 1)
 
-    injector = _scored_injector(error_model, config, corrector, seed_offset=7)
+    injector = BitErrorInjector(error_model, bits=config.bits,
+                                corrector=corrector, seed=config.seed + 7)
 
     def score_with(assignment: Dict[str, float]) -> float:
         injector.set_per_tensor_ber(assignment)

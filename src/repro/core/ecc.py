@@ -10,6 +10,15 @@ without implementing Galois-field arithmetic: the injector knows the
 ground-truth stored bits, so "decode" reduces to counting corrupted
 symbols per codeword and reverting the flips of every correctable one.
 
+The accounting is word-level and touches only the words where
+``stored ^ observed`` is non-zero: a word holding several symbols is split
+into symbol lanes by shift and mask, a symbol spanning several words is
+the group of adjacent words, corrupted symbols are counted per codeword
+from their sorted indices, and correctable codewords are reverted word by
+word.  The miscorrection lottery is hashed only at uncorrectable codeword
+indices.  So decode cost grows with the flipped words, not with the
+stored bits.  Symbol and word widths must nest (one divides the other).
+
 :class:`RsCodecModel.correct_words` is deterministic for a fixed
 ``(seed, key)`` and is wired into store materialization by
 :class:`repro.dram.injection.BitErrorInjector` (``ecc=``) and
@@ -26,6 +35,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.dram.packed import _hash_uniform, xor_mask_from_positions
+
+
+def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted integer array and the length of each run."""
+    if values.size == 0:
+        return values, np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.diff(np.append(starts, values.size))
 
 
 @dataclass(frozen=True)
@@ -137,61 +154,85 @@ class RsCodecModel:
         lottery — hash of the codeword index offset by ``key``, so distinct
         tensors draw distinct lotteries — additionally garbles their first
         symbol.  Returns the post-correction words and the
-        :class:`EccReport` accounting for every codeword.
+        :class:`EccReport` accounting for every codeword.  Raises
+        ``ValueError`` when ``spec.symbol_bits`` and ``bits_per_word`` do
+        not nest (neither divides the other).
         """
         stored = np.asarray(stored, dtype=np.uint64)
         observed = np.asarray(observed, dtype=np.uint64)
         if stored.shape != observed.shape:
             raise ValueError("stored and observed must have the same shape")
         spec = self.spec
+        symbol_bits = spec.symbol_bits
+        if bits_per_word % symbol_bits and symbol_bits % bits_per_word:
+            raise ValueError(
+                f"{symbol_bits}-bit symbols and {bits_per_word}-bit words do "
+                f"not nest: one width must divide the other")
+        stored, observed = stored.ravel(), observed.ravel()
         num_bits = stored.size * bits_per_word
         report = EccReport()
+        corrected = observed.copy()
         if num_bits == 0:
-            return observed.copy(), report
+            return corrected, report
 
+        # A word is split into ``lanes`` lanes of ``lane_bits`` bits, each
+        # inside one symbol; a symbol spans ``lanes_per_symbol`` lanes.
+        # Either a word holds several symbols (one lane per symbol) or a
+        # symbol spans several whole words (one lane per word).
+        lane_bits = min(bits_per_word, symbol_bits)
+        lanes = bits_per_word // lane_bits
+        lanes_per_symbol = symbol_bits // lane_bits
+        lane_mask = np.uint64((1 << lane_bits) - 1)
+        lane_shifts = np.arange(lanes, dtype=np.uint64) * np.uint64(lane_bits)
         diff = stored ^ observed
-        shifts = np.arange(bits_per_word, dtype=np.uint64)
-        diff_bits = ((diff[:, None] >> shifts) & np.uint64(1)).astype(bool).ravel()
+        diff &= np.uint64((1 << bits_per_word) - 1)
+        dirty = np.flatnonzero(diff != 0)     # ~5x faster than on uint64s
+        dirty_diff = diff[dirty]
+        # ``lane_bad[j, i]``: lane ``j`` of word ``dirty[i]`` holds a flip
+        # (lane-major, so every operation runs along the long axis).
+        lane_bad = ((dirty_diff >> lane_shifts[:, None]) & lane_mask) != 0
+        bad_words, bad_lanes = np.nonzero(lane_bad.T)     # word-major order
+        lane_symbols = (dirty[bad_words] * lanes + bad_lanes) // lanes_per_symbol
+        bad_symbols, bad_lanes_per_symbol = _runs(lane_symbols)
 
-        data_bits = spec.data_bits
-        n_codewords = -(-num_bits // data_bits)
-        padded = np.zeros(n_codewords * data_bits, dtype=bool)
-        padded[:num_bits] = diff_bits
-        symbol_errors = padded.reshape(n_codewords, spec.data_symbols,
-                                       spec.symbol_bits).any(axis=2)
-        error_counts = symbol_errors.sum(axis=1)
-
+        # ``bad_symbols`` is sorted, so each codeword's symbols are adjacent.
+        bad_codewords, error_counts = _runs(bad_symbols // spec.data_symbols)
         t = spec.correctable_symbols
-        correctable = (error_counts > 0) & (error_counts <= t)
-        uncorrectable = error_counts > t
-        miscorrected = np.zeros(n_codewords, dtype=bool)
-        if self.miscorrection_rate > 0.0 and uncorrectable.any():
-            indices = np.arange(n_codewords, dtype=np.uint64) + np.uint64(key)
+        correctable = error_counts <= t
+        uncorrectable_codewords = bad_codewords[~correctable]
+        miscorrected = np.zeros(0, dtype=np.int64)
+        if self.miscorrection_rate > 0.0 and uncorrectable_codewords.size:
+            indices = uncorrectable_codewords.astype(np.uint64) + np.uint64(key)
             lottery = _hash_uniform(indices, self.seed, stream=602)
-            miscorrected = uncorrectable & (lottery < self.miscorrection_rate)
+            miscorrected = uncorrectable_codewords[lottery < self.miscorrection_rate]
 
-        report.codewords = int(n_codewords)
+        report.codewords = -(-num_bits // spec.data_bits)
         report.corrected_codewords = int(correctable.sum())
-        report.corrected_symbols = int(symbol_errors[correctable].sum())
-        report.miscorrected_codewords = int(miscorrected.sum())
-        report.uncorrectable_codewords = int(uncorrectable.sum()
-                                             - miscorrected.sum())
+        report.corrected_symbols = int(error_counts[correctable].sum())
+        report.miscorrected_codewords = int(miscorrected.size)
+        report.uncorrectable_codewords = int(uncorrectable_codewords.size
+                                             - miscorrected.size)
 
-        revert = padded & np.repeat(correctable, data_bits)
-        if miscorrected.any():
+        # Revert every flipped lane of a correctable codeword.
+        lane_fix = np.zeros(lane_bad.shape, dtype=bool)
+        lane_fix[bad_lanes, bad_words] = np.repeat(
+            np.repeat(correctable, error_counts), bad_lanes_per_symbol)
+        revert = (lane_fix * (lane_mask << lane_shifts)[:, None]).sum(
+            axis=0, dtype=np.uint64)
+        corrected[dirty] ^= dirty_diff & revert
+        if miscorrected.size:
             # A miscorrecting decoder writes garbage: garble the first
-            # symbol of each miscorrected codeword on top of the raw flips.
-            garble = np.zeros(n_codewords * data_bits, dtype=bool)
-            starts = np.nonzero(miscorrected)[0] * data_bits
-            for start in starts.tolist():
-                garble[start:start + spec.symbol_bits] = True
-            revert = revert ^ garble
-        positions = np.nonzero(revert[:num_bits])[0]
-        if positions.size == 0:
-            return observed.copy(), report
-        xor = xor_mask_from_positions(positions.astype(np.int64),
-                                      stored.size, bits_per_word)
-        return observed ^ xor, report
+            # symbol of each miscorrected codeword on top of the raw flips
+            # (one lane of a word, or ``lanes_per_symbol`` whole words).
+            first_bits = miscorrected * spec.data_bits
+            words = ((first_bits // bits_per_word)[:, None]
+                     + np.arange(lanes_per_symbol))
+            garble = np.broadcast_to(
+                (lane_mask << (first_bits % bits_per_word).astype(np.uint64))[:, None],
+                words.shape)
+            inside = words < stored.size
+            np.bitwise_xor.at(corrected, words[inside], garble[inside])
+        return corrected, report
 
 
 #: named codec registry for the ``correction=`` string API.

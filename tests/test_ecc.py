@@ -41,6 +41,7 @@ from repro.dram.injection import (
     inject_bit_errors,
     inject_bit_errors_reference,
 )
+from repro.dram.packed import _hash_uniform, xor_mask_from_positions
 from repro.engine.session import InferenceSession, ReadSemantics
 from repro.nn.tensor import DataKind
 from repro.parallel import PlanDispatcher
@@ -263,6 +264,104 @@ class TestCodecCorrection:
         with pytest.raises(ValueError):
             codec.correct_words(np.zeros(2, dtype=np.uint64),
                                 np.zeros(3, dtype=np.uint64), 32)
+
+
+def _reference_correct_words(codec, stored, observed, bits_per_word, key=0):
+    """Bit-expansion decode: one boolean per stored bit, padded per codeword.
+
+    The straightforward model ``RsCodecModel.correct_words`` must match
+    exactly: a symbol is corrupted when any of its bits differs, codewords
+    with 1..t corrupted symbols revert every flipped bit, and uncorrectable
+    codewords that win the miscorrection lottery (hash stream 602 over
+    ``codeword index + key``) get their first symbol garbled.
+    """
+    spec = codec.spec
+    num_bits = stored.size * bits_per_word
+    shifts = np.arange(bits_per_word, dtype=np.uint64)
+    diff = ((stored ^ observed)[:, None] >> shifts) & np.uint64(1)
+    n_codewords = -(-num_bits // spec.data_bits)
+    padded = np.zeros(n_codewords * spec.data_bits, dtype=bool)
+    padded[:num_bits] = diff.astype(bool).ravel()
+    symbol_errors = padded.reshape(n_codewords, spec.data_symbols,
+                                   spec.symbol_bits).any(axis=2)
+    counts = symbol_errors.sum(axis=1)
+    t = spec.correctable_symbols
+    correctable = (counts > 0) & (counts <= t)
+    uncorrectable = counts > t
+    lottery = _hash_uniform(np.arange(n_codewords, dtype=np.uint64)
+                            + np.uint64(key), codec.seed, stream=602)
+    miscorrected = uncorrectable & (lottery < codec.miscorrection_rate)
+    revert = padded & np.repeat(correctable, spec.data_bits)
+    for codeword in np.flatnonzero(miscorrected):
+        start = codeword * spec.data_bits
+        revert[start:start + spec.symbol_bits] ^= True
+    xor = xor_mask_from_positions(np.flatnonzero(revert[:num_bits]),
+                                  stored.size, bits_per_word)
+    report = {
+        "codewords": int(n_codewords),
+        "corrected_codewords": int(correctable.sum()),
+        "corrected_symbols": int(symbol_errors[correctable].sum()),
+        "uncorrectable_codewords": int((uncorrectable & ~miscorrected).sum()),
+        "miscorrected_codewords": int(miscorrected.sum()),
+    }
+    return observed ^ xor, report
+
+
+class TestWordLevelDecode:
+    """The word-level symbol accounting equals the bit-expansion reference."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("bits_per_word", [4, 8, 16, 32])
+    def test_matches_bit_expansion_reference(self, bits_per_word, rate):
+        rng = np.random.default_rng(bits_per_word * 10 + int(rate * 10))
+        codewords_of_words = DATA_BITS // bits_per_word
+        for trial in range(25):
+            # Whole codewords plus a partial last one.
+            size = (int(rng.integers(0, 4)) * codewords_of_words
+                    + int(rng.integers(1, codewords_of_words)))
+            stored = rng.integers(0, 1 << bits_per_word, size=size,
+                                  dtype=np.uint64)
+            density = float(rng.choice([1e-3, 1e-2, 5e-2, 0.3]))
+            flips = rng.random((size, bits_per_word)) < density
+            xor = (flips.astype(np.uint64)
+                   << np.arange(bits_per_word, dtype=np.uint64)).sum(
+                       axis=1, dtype=np.uint64)
+            observed = stored ^ xor
+            codec = RsCodecModel(miscorrection_rate=rate, seed=trial % 3)
+            key = int(rng.integers(0, 1 << 20))
+            corrected, report = codec.correct_words(stored, observed,
+                                                    bits_per_word, key=key)
+            expected, expected_report = _reference_correct_words(
+                codec, stored, observed, bits_per_word, key=key)
+            assert corrected.dtype == np.uint64
+            np.testing.assert_array_equal(corrected, expected)
+            assert report.as_dict() == expected_report
+
+    @pytest.mark.parametrize("symbol_bits, bits_per_word",
+                             [(4, 32), (16, 8), (32, 4), (8, 64)])
+    def test_nesting_widths_match_reference(self, symbol_bits, bits_per_word):
+        rng = np.random.default_rng(symbol_bits + bits_per_word)
+        codec = RsCodecModel(RsCodecSpec(symbol_bits=symbol_bits,
+                                         data_symbols=3, parity_symbols=2),
+                             miscorrection_rate=0.5)
+        stored = rng.integers(0, 1 << 62, size=37, dtype=np.uint64)
+        stored &= np.uint64((1 << bits_per_word) - 1)
+        flips = rng.random((stored.size, bits_per_word)) < 0.05
+        observed = stored ^ (flips.astype(np.uint64) << np.arange(
+            bits_per_word, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        corrected, report = codec.correct_words(stored, observed, bits_per_word)
+        expected, expected_report = _reference_correct_words(
+            codec, stored, observed, bits_per_word)
+        np.testing.assert_array_equal(corrected, expected)
+        assert report.as_dict() == expected_report
+
+    @pytest.mark.parametrize("symbol_bits, bits_per_word", [(8, 12), (3, 8),
+                                                            (16, 24)])
+    def test_non_nesting_widths_rejected(self, symbol_bits, bits_per_word):
+        codec = RsCodecModel(RsCodecSpec(symbol_bits=symbol_bits))
+        words = np.zeros(4, dtype=np.uint64)
+        with pytest.raises(ValueError, match="do not nest"):
+            codec.correct_words(words, words, bits_per_word)
 
 
 class TestMonotonicity:

@@ -38,6 +38,15 @@ def _both_paths(values, bits, model, layout, seed):
     return reference, fast, rng_ref, rng_packed
 
 
+def _same_state(rng_a, rng_b):
+    """Whether two generators' full ``bit_generator.state`` dicts are equal."""
+    def equal(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(equal(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+    return equal(rng_a.bit_generator.state, rng_b.bit_generator.state)
+
+
 class TestPackedParity:
     @pytest.mark.parametrize("model_id", [0, 1, 2, 3])
     @pytest.mark.parametrize("bits", [4, 8, 16, 32])
@@ -56,16 +65,22 @@ class TestPackedParity:
 
     @pytest.mark.parametrize("model_id", [0, 3])
     def test_generators_without_advance_fall_back_to_dense(self, model_id):
-        # MT19937 has no BitGenerator.advance; the sampler must draw-and-
-        # discard instead, staying bit-exact with the boolean path.
+        # MT19937 and SFC64 have no BitGenerator.advance, and Philox's
+        # advance counts 256-bit counter blocks rather than doubles; the
+        # sampler must draw-and-discard for all three (PCG64DXSM may skip
+        # with advance but draws densely), staying bit-exact with the
+        # boolean path.
         values = np.random.default_rng(8).standard_normal(513).astype(np.float32)
         model = make_error_model(model_id, 1e-3, seed=1)
-        rng_ref = np.random.Generator(np.random.MT19937(42))
-        rng_packed = np.random.Generator(np.random.MT19937(42))
-        reference = inject_bit_errors_reference(values, 32, model, DramLayout(), rng_ref)
-        fast = inject_bit_errors(values, 32, model, DramLayout(), rng_packed)
-        np.testing.assert_array_equal(reference, fast)
-        assert rng_ref.random() == rng_packed.random()
+        for generator in (np.random.MT19937, np.random.Philox,
+                          np.random.SFC64, np.random.PCG64DXSM):
+            rng_ref = np.random.Generator(generator(42))
+            rng_packed = np.random.Generator(generator(42))
+            reference = inject_bit_errors_reference(values, 32, model, DramLayout(), rng_ref)
+            fast = inject_bit_errors(values, 32, model, DramLayout(), rng_packed)
+            np.testing.assert_array_equal(reference, fast)
+            assert _same_state(rng_ref, rng_packed)
+            assert rng_ref.random() == rng_packed.random()
 
     @pytest.mark.parametrize("model_id", [0, 1, 2, 3])
     def test_dense_sampling_regime(self, model_id):
@@ -222,6 +237,90 @@ class TestSampler:
         expected = [1, 1, 0, 1, 0, 1, 1, 0]
         got = bit_at(np.arange(8))
         np.testing.assert_array_equal(got, np.array(expected, dtype=bool))
+
+
+class TestJumpAheadDraws:
+    """Closed-form PCG64 draws equal the dense stream at every offset."""
+
+    UNIT = 1 << packed._JUMP_DIGIT_BITS
+
+    @staticmethod
+    def _stream(seed, predrawn, half_word=False):
+        rng = np.random.default_rng(seed)
+        rng.random(predrawn)        # a generator that already drew
+        if half_word:               # ... and holds a buffered 32-bit draw
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+        return rng
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        predrawn=st.integers(min_value=0, max_value=5000),
+        total=st.one_of(st.integers(min_value=1, max_value=3000),
+                        st.integers(min_value=(1 << 20) - 2,
+                                    max_value=(1 << 20) + 3000)),
+        extra=st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                 exclude_max=True), max_size=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_uniforms_at_positions_match_dense_draw(self, seed, predrawn,
+                                                    total, extra):
+        unit = self.UNIT
+        # Digit edges of the first two jump levels, the first and last bit.
+        edges = {0, unit - 1, unit, unit + 1, unit * unit - 2,
+                 unit * unit - 1, unit * unit, total - 1}
+        chosen = {int(fraction * total) for fraction in extra}
+        positions = np.array(sorted(p for p in edges | chosen if p < total),
+                             dtype=np.int64)
+        rng = self._stream(seed, predrawn)
+        state = rng.bit_generator.state["state"]
+        got = packed.pcg64_uniforms_at(state["state"], state["inc"], positions)
+        np.testing.assert_array_equal(got, rng.random(total)[positions])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        predrawn=st.integers(min_value=0, max_value=100),
+        total=st.integers(min_value=64, max_value=200_000),
+        batch=st.sampled_from([1, 7, 1 << 14]),
+        half_word=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_sampler_matches_dense_draw_and_final_state(
+            self, seed, predrawn, total, batch, half_word):
+        picker = np.random.default_rng(seed + 1)
+        # Sparse enough for the closed-form path, always holding both ends.
+        size = int(picker.integers(0, total // packed.SPARSE_DENSITY_CUTOFF - 1))
+        positions = np.unique(np.concatenate(
+            [[0, total - 1], picker.choice(total, size=size, replace=False)]))
+        probabilities = picker.random(positions.size)
+        rng_a = self._stream(seed, predrawn, half_word)
+        rng_b = self._stream(seed, predrawn, half_word)
+        old_batch, packed.JUMP_BATCH = packed.JUMP_BATCH, batch
+        try:
+            flips = sample_flip_positions(rng_a, total, positions, probabilities)
+        finally:
+            packed.JUMP_BATCH = old_batch
+        expected = positions[rng_b.random(total)[positions] < probabilities]
+        np.testing.assert_array_equal(flips, expected)
+        assert _same_state(rng_a, rng_b)
+
+    @pytest.mark.parametrize("generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.Philox, np.random.SFC64,
+                                           np.random.MT19937])
+    def test_skip_stream_matches_discarded_draws(self, generator):
+        rng_a = np.random.Generator(generator(7))
+        rng_b = np.random.Generator(generator(7))
+        for rng in (rng_a, rng_b):
+            rng.integers(0, 1 << 32, dtype=np.uint32)   # buffer a half-word
+        packed.skip_stream(rng_a, 10)
+        rng_b.random(10)
+        assert _same_state(rng_a, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+    def test_jump_tables_stay_small(self):
+        # Three levels cover every tensor up to 2**30 bits.
+        table_bytes = sum(limbs.nbytes for level in range(3)
+                          for limbs in packed._jump_table(level))
+        assert table_bytes <= 100_000
 
 
 class TestDeviceParity:
