@@ -177,11 +177,6 @@ def xor_mask_from_positions(flip_positions: np.ndarray, num_words: int,
     return xor
 
 
-def _advance_counts_doubles(bit_generator: np.random.BitGenerator) -> bool:
-    """Whether ``advance(n)`` skips exactly ``n`` ``random()`` draws."""
-    return isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-
-
 def _advance(bit_generator: np.random.BitGenerator, num_draws: int) -> None:
     """``bit_generator.advance(num_draws)``, keeping a buffered 32-bit draw.
 
@@ -207,7 +202,7 @@ def skip_stream(rng: np.random.Generator, num_draws: int) -> None:
     stream ends where ``rng.random(num_draws)`` would have left it.
     """
     bit_generator = rng.bit_generator
-    if _advance_counts_doubles(bit_generator):
+    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
         _advance(bit_generator, num_draws)
         return
     for _ in _dense_draws(rng, num_draws):
